@@ -7,9 +7,11 @@
 //   2. Deadline overshoot — a 50 ms per-query deadline on a query whose
 //      grid dwarfs any budget finalizes to kUnknown + resource_limited
 //      with overshoot under 250 ms (bounded by a single task step).
-//   3. Task-path overhead — driving a Fig.-4-style sweep through
-//      make_task/step instead of the blocking verify_with path costs at
-//      most 5% wall-clock.
+//   3. Stepping overhead — the task path measured against itself: a
+//      sweep driven at kDefaultStepWork per step must do the same `work`
+//      as one unbounded step per query and cost at most 5% (+0.5 ms)
+//      more wall-clock, for enumerate and bnb on queries that span many
+//      steps.
 //
 // Any violation exits non-zero (the CI job fails); the measured numbers
 // land in BENCH_tasks.json for PR-over-PR tracking.
@@ -18,7 +20,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "nn/network.hpp"
@@ -177,63 +182,99 @@ int run_deadline_gate(util::BenchJson& json) {
   return EXIT_SUCCESS;
 }
 
-int run_overhead_gate(util::BenchJson& json) {
-  std::puts("\n=== Task-path overhead vs blocking path (<= 5%) ===");
-  // Fig.-4-style sweep: the range ladder over several samples, exhaustive
-  // walks kept long enough that stepping overhead is measurable.
+/// Drives every query's task to completion at `step_work` per step;
+/// returns the summed work.
+std::uint64_t drive_sweep(const verify::Engine& eng,
+                          const std::vector<verify::Query>& sweep,
+                          std::uint64_t step_work) {
+  std::uint64_t work = 0;
+  for (const verify::Query& q : sweep) {
+    const auto task = eng.make_task(q, {});
+    while (task->step(step_work) != verify::TaskState::kDone) {
+    }
+    work += task->result().work;
+  }
+  return work;
+}
+
+/// Robust high-noise queries on bench_bnb's stress net: exhaustive trees of
+/// ~0.6k to ~77k boxes, so the default quota splits the larger ones into
+/// dozens of steps.
+std::vector<verify::Query> bnb_sweep() {
+  static const nn::QuantizedNetwork net = nn::QuantizedNetwork::quantize(
+      nn::Network::random({8, 20, 2}, 202), 100);
   std::vector<verify::Query> sweep;
+  for (const int range : {20, 25, 30}) {
+    verify::Query q;
+    q.net = &net;
+    for (std::size_t i = 0; i < net.input_dim(); ++i) {
+      q.x.push_back(static_cast<util::i64>(10 + 11 * i));
+    }
+    q.true_label = net.classify_noised(q.x, {});
+    q.box = verify::NoiseBox::symmetric(q.x.size(), range);
+    sweep.push_back(std::move(q));
+  }
+  return sweep;
+}
+
+int run_overhead_gate(util::BenchJson& json) {
+  std::puts("\n=== Stepping overhead: kDefaultStepWork vs one unbounded "
+            "step (<= 5%) ===");
+  // Enumerate: the Fig.-4 range ladder over several samples, exhaustive
+  // walks of up to 101^3 points (~1k steps each at the default quota).
+  std::vector<verify::Query> enumerate_sweep;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     for (int range = 5; range <= 50; range += 5) {
-      sweep.push_back(make_query(seed, range, false));
+      enumerate_sweep.push_back(make_query(seed, range, false));
     }
   }
-  const verify::Engine& eng = verify::engine("enumerate");
-  const verify::VerifyContext ctx;
+  const std::pair<const char*, std::vector<verify::Query>> sweeps[] = {
+      {"enumerate", std::move(enumerate_sweep)}, {"bnb", bnb_sweep()}};
 
   constexpr int kReps = 3;
-  double direct_ms = 1e300;
-  double task_ms = 1e300;
-  std::uint64_t direct_work = 0;
-  std::uint64_t task_work = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    {
-      std::uint64_t work = 0;
-      const util::Stopwatch watch;
-      for (const verify::Query& q : sweep) {
-        work += eng.verify_with(q, ctx).work;
+  constexpr std::uint64_t kUnbounded =
+      std::numeric_limits<std::uint64_t>::max();
+  for (const auto& [name, sweep] : sweeps) {
+    const verify::Engine& eng = verify::engine(name);
+    double whole_ms = 1e300;
+    double stepped_ms = 1e300;
+    std::uint64_t whole_work = 0;
+    std::uint64_t stepped_work = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      {
+        const util::Stopwatch watch;
+        whole_work = drive_sweep(eng, sweep, kUnbounded);
+        whole_ms = std::min(whole_ms, watch.millis());
       }
-      direct_ms = std::min(direct_ms, watch.millis());
-      direct_work = work;
-    }
-    {
-      std::uint64_t work = 0;
-      const util::Stopwatch watch;
-      for (const verify::Query& q : sweep) {
-        work += verify::run_task(eng, q, ctx).work;
+      {
+        const util::Stopwatch watch;
+        stepped_work =
+            drive_sweep(eng, sweep, verify::EngineTask::kDefaultStepWork);
+        stepped_ms = std::min(stepped_ms, watch.millis());
       }
-      task_ms = std::min(task_ms, watch.millis());
-      task_work = work;
     }
-  }
-  if (task_work != direct_work) {
-    std::fprintf(stderr, "FAIL: task path work %llu != direct %llu\n",
-                 static_cast<unsigned long long>(task_work),
-                 static_cast<unsigned long long>(direct_work));
-    return EXIT_FAILURE;
-  }
-  const double overhead = task_ms / direct_ms - 1.0;
-  std::printf("  direct %8.1f ms   task %8.1f ms   overhead %+.2f%%  "
-              "(%zu queries, %llu evals)\n",
-              direct_ms, task_ms, overhead * 100.0, sweep.size(),
-              static_cast<unsigned long long>(direct_work));
-  json.add("overhead_direct", direct_ms, direct_work, 1);
-  json.add("overhead_task", task_ms, task_work, 1);
-  // 0.5 ms absolute slack keeps sub-millisecond timer jitter from failing
-  // a gate the percentages clearly pass.
-  if (task_ms > direct_ms * 1.05 + 0.5) {
-    std::fprintf(stderr, "FAIL: task-path overhead %.2f%% exceeds 5%%\n",
-                 overhead * 100.0);
-    return EXIT_FAILURE;
+    if (stepped_work != whole_work) {
+      std::fprintf(stderr, "FAIL: %s stepped work %llu != unbounded %llu\n",
+                   name, static_cast<unsigned long long>(stepped_work),
+                   static_cast<unsigned long long>(whole_work));
+      return EXIT_FAILURE;
+    }
+    const double overhead = stepped_ms / whole_ms - 1.0;
+    std::printf("  %-10s unbounded %8.1f ms   stepped %8.1f ms   overhead "
+                "%+.2f%%  (%zu queries, work %llu)\n",
+                name, whole_ms, stepped_ms, overhead * 100.0, sweep.size(),
+                static_cast<unsigned long long>(whole_work));
+    json.add(std::string("overhead_") + name + "_unbounded", whole_ms,
+             whole_work, 1);
+    json.add(std::string("overhead_") + name + "_stepped", stepped_ms,
+             stepped_work, 1);
+    // 0.5 ms absolute slack keeps sub-millisecond timer jitter from failing
+    // a gate the percentages clearly pass.
+    if (stepped_ms > whole_ms * 1.05 + 0.5) {
+      std::fprintf(stderr, "FAIL: %s stepping overhead %.2f%% exceeds 5%%\n",
+                   name, overhead * 100.0);
+      return EXIT_FAILURE;
+    }
   }
   return EXIT_SUCCESS;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <limits>
 #include <map>
 #include <optional>
 #include <thread>
@@ -191,6 +192,26 @@ class TopK {
   std::atomic<std::uint64_t> version_{0};
 };
 
+/// One worker's state.  The Search owns it, so it outlives task steps: the
+/// bound kernel (built once per query and worker), the scratch query the
+/// IBP ablation rewrites per box, the top-K bound cache and the lazy SoA
+/// evaluator of flips-everywhere drains.  Only worker `w` touches lane `w`,
+/// and consecutive steps' threads are ordered by the join between them.
+struct LaneState {
+  LaneState(const Query& q, bool symbolic) : sub(q) {
+    if (symbolic) kernel.emplace(q);
+  }
+
+  std::optional<MarginKernel> kernel;  // symbolic pruning only
+  Query sub;  // IBP only: box rewritten per candidate
+  std::uint32_t poll = 0;  // drain_interrupted stride counter
+  std::uint64_t bound_version = 0;
+  std::optional<std::vector<int>> bound;
+  std::optional<nn::BatchEvaluator> evaluator;  // lazy: flips drains only
+  std::optional<nn::BatchEvaluator::Batch> batch;
+  std::vector<std::vector<int>> points;
+};
+
 struct Search {
   const Query& query;
   const BnbOptions& options;
@@ -199,6 +220,7 @@ struct Search {
   TopK* topk = nullptr;
 
   Frontier frontier;
+  std::vector<LaneState> lanes;  // one per worker
   std::atomic<std::uint64_t> boxes{0};
   std::atomic<bool> quit{false};
   std::atomic<bool> exhausted{false};
@@ -217,20 +239,26 @@ struct Search {
   std::function<bool()> extra_yield;
 
   Search(const Query& q, const BnbOptions& o, std::size_t workers)
-      : query(q), options(o), frontier(workers) {}
+      : query(q), options(o), frontier(workers) {
+    lanes.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      lanes.emplace_back(q, o.use_symbolic);
+    }
+  }
 };
 
-/// Margin slack of a box under the given (parent) margin forms: how far
-/// the weakest margin lower bound sits above the flip threshold.  Negative
-/// slack means the box may flip; the most negative box is the most
-/// promising place to look for a witness (best-first policy).
-i128 margin_slack(const MarginForms& mf, std::size_t y, const NoiseBox& box) {
+/// Margin slack of a box under the kernel's current (parent) margin forms:
+/// how far the weakest margin lower bound sits above the flip threshold.
+/// Negative slack means the box may flip; the most negative box is the
+/// most promising place to look for a witness (best-first policy).
+i128 margin_slack(const MarginKernel& kernel, const NoiseBox& box) {
+  const std::size_t y = kernel.label();
   i128 slack = 0;
   bool first = true;
-  for (std::size_t k = 0; k < mf.lo.size(); ++k) {
+  for (std::size_t k = 0; k < kernel.outputs(); ++k) {
     if (k == y) continue;
     const i128 needed = (k < y) ? 1 : 0;
-    const i128 s = mf.lo[k].min_over(box) - needed;
+    const i128 s = form_min(kernel.margin_lo(k), box) - needed;
     if (first || s < slack) slack = s;
     first = false;
   }
@@ -240,7 +268,7 @@ i128 margin_slack(const MarginForms& mf, std::size_t y, const NoiseBox& box) {
 class Worker {
  public:
   Worker(Search& s, std::size_t index)
-      : s_(s), w_(index), sub_(s.query),
+      : s_(s), w_(index), lane_(s.lanes[index]),
         y_(static_cast<std::size_t>(s.query.true_label)) {}
 
   void run() {
@@ -281,15 +309,15 @@ class Worker {
   /// below the current K-th smallest counterexample.
   bool pruned_by_bound(const NoiseBox& box) {
     if (s_.topk == nullptr) return false;
-    if (!s_.topk->refresh(bound_version_, bound_)) return false;
-    return !(box.lo < *bound_);
+    if (!s_.topk->refresh(lane_.bound_version, lane_.bound)) return false;
+    return !(box.lo < *lane_.bound);
   }
 
   /// Periodic deadline/cancel poll inside flips-everywhere drains: maps an
   /// expiry onto the exhausted path (witnesses already emitted stay
   /// valid).  Strided so the steady_clock read is amortized.
   bool drain_interrupted() {
-    if ((++poll_ & 255u) != 0) return false;
+    if ((++lane_.poll & 255u) != 0) return false;
     if (!s_.budget->interrupted()) return false;
     s_.exhausted.store(true, std::memory_order_relaxed);
     s_.quit.store(true, std::memory_order_release);
@@ -307,7 +335,7 @@ class Worker {
     if (pruned_by_bound(box)) return;
 
     if (box.is_singleton()) {
-      const int label = classify_under_noise(sub_, box.lo);
+      const int label = classify_under_noise(s_.query, box.lo);
       if (label != s_.query.true_label) emit(box.lo, label);
       return;
     }
@@ -317,22 +345,22 @@ class Worker {
     // lex order, undecided boxes bisect.
     bool flips_everywhere = false;
     bool all_safe = false;
-    MarginForms mf;
-    sub_.box = box;
-    if (s_.options.use_symbolic) {
-      mf = margin_forms(sub_);
+    if (lane_.kernel.has_value()) {
+      MarginKernel& kernel = *lane_.kernel;
+      kernel.bound(box);
       all_safe = true;
-      for (std::size_t k = 0; k < mf.lo.size(); ++k) {
+      for (std::size_t k = 0; k < kernel.outputs(); ++k) {
         if (k == y_) continue;
         const i128 needed = (k < y_) ? 1 : 0;
-        if (mf.lo[k].min_over(box) < needed) all_safe = false;
-        if (mf.hi[k].max_over(box) < needed) {  // O_k beats O_y everywhere
-          flips_everywhere = true;
+        if (form_min(kernel.margin_lo(k), box) < needed) all_safe = false;
+        if (form_max(kernel.margin_hi(k), box) < needed) {
+          flips_everywhere = true;  // O_k beats O_y everywhere
           break;
         }
       }
     } else {
-      all_safe = interval_verify(sub_).verdict == Verdict::kRobust;
+      lane_.sub.box = box;
+      all_safe = interval_verify(lane_.sub).verdict == Verdict::kRobust;
     }
     if (all_safe && !flips_everywhere) return;
 
@@ -348,11 +376,12 @@ class Worker {
         if (drain_interrupted()) return false;
         // Lex order: once the top-K bound is reached, no later point in
         // this box can enter the set.
-        if (s_.topk != nullptr && s_.topk->refresh(bound_version_, bound_) &&
-            !(point < *bound_)) {
+        if (s_.topk != nullptr &&
+            s_.topk->refresh(lane_.bound_version, lane_.bound) &&
+            !(point < *lane_.bound)) {
           return false;
         }
-        emit(point, classify_under_noise(sub_, point));
+        emit(point, classify_under_noise(s_.query, point));
         return true;
       });
       return;
@@ -369,17 +398,20 @@ class Worker {
       }
     }
     const int mid = box.lo[dim] + (box.hi[dim] - box.lo[dim]) / 2;
-    NoiseBox left = box, right = box;
+    NoiseBox left = box;
+    NoiseBox right = std::move(box);
     left.hi[dim] = mid;
     right.lo[dim] = mid + 1;
 
     // Box-priority policy: the child pushed *last* is popped first.
     bool left_first = true;
     if (s_.options.policy == BnbOptions::Policy::kBestFirst &&
-        s_.options.use_symbolic) {
-      // Parent forms stay sound on sub-boxes, so scoring is O(dims) per
-      // margin — no re-propagation.  Ties keep the depth-first order.
-      left_first = margin_slack(mf, y_, left) <= margin_slack(mf, y_, right);
+        lane_.kernel.has_value()) {
+      // The kernel still holds the parent's forms, which stay sound on
+      // sub-boxes, so scoring is O(dims) per margin — no re-propagation.
+      // Ties keep the depth-first order.
+      left_first = margin_slack(*lane_.kernel, left) <=
+                   margin_slack(*lane_.kernel, right);
     }
     if (left_first) {
       s_.frontier.push(w_, std::move(right));
@@ -396,21 +428,23 @@ class Worker {
   /// loop.  Lanes the kernel flags as overflowing re-run the scalar path,
   /// which throws the genuine ArithmeticError the scalar loop would.
   void drain_flips_box_batched(const NoiseBox& box, std::size_t lanes) {
-    if (!evaluator_) {
-      evaluator_.emplace(*s_.query.net);
-      batch_.emplace(evaluator_->make_batch());
+    if (!lane_.evaluator) {
+      lane_.evaluator.emplace(*s_.query.net);
+      lane_.batch.emplace(lane_.evaluator->make_batch());
     }
+    nn::BatchEvaluator::Batch& batch = *lane_.batch;
+    std::vector<std::vector<int>>& points = lane_.points;
     const std::size_t n = s_.query.x.size();
     std::vector<int> p(box.lo);
     bool done = false;
     while (!done) {
-      batch_->clear();
-      points_.clear();
-      while (points_.size() < lanes && !done) {
+      batch.clear();
+      points.clear();
+      while (points.size() < lanes && !done) {
         const int bias_delta = s_.query.bias_node ? p[n] : 0;
-        batch_->push_noised(s_.query.x, std::span<const int>(p).subspan(0, n),
-                            nn::kNoiseDen + bias_delta);
-        points_.push_back(p);
+        batch.push_noised(s_.query.x, std::span<const int>(p).subspan(0, n),
+                          nn::kNoiseDen + bias_delta);
+        points.push_back(p);
         // Lex advance, last dimension fastest (for_each_lex's order).
         std::size_t d = box.dims();
         while (d > 0) {
@@ -420,32 +454,27 @@ class Worker {
         }
         done = (d == 0);
       }
-      evaluator_->run(*batch_);
-      for (std::size_t t = 0; t < points_.size(); ++t) {
+      lane_.evaluator->run(batch);
+      for (std::size_t t = 0; t < points.size(); ++t) {
         if (s_.quit.load(std::memory_order_acquire)) return;
         if (drain_interrupted()) return;
-        if (s_.topk != nullptr && s_.topk->refresh(bound_version_, bound_) &&
-            !(points_[t] < *bound_)) {
+        if (s_.topk != nullptr &&
+            s_.topk->refresh(lane_.bound_version, lane_.bound) &&
+            !(points[t] < *lane_.bound)) {
           return;
         }
-        const int label = batch_->overflowed(t)
-                              ? classify_under_noise(sub_, points_[t])
-                              : batch_->label(t);
-        emit(points_[t], label);
+        const int label = batch.overflowed(t)
+                              ? classify_under_noise(s_.query, points[t])
+                              : batch.label(t);
+        emit(points[t], label);
       }
     }
   }
 
   Search& s_;
   std::size_t w_;
-  Query sub_;  // per-worker scratch query (box rewritten per candidate)
+  LaneState& lane_;
   std::size_t y_;
-  std::uint32_t poll_ = 0;  // drain_interrupted stride counter
-  std::uint64_t bound_version_ = 0;
-  std::optional<std::vector<int>> bound_;
-  std::optional<nn::BatchEvaluator> evaluator_;  // lazy: flips drains only
-  std::optional<nn::BatchEvaluator::Batch> batch_;
-  std::vector<std::vector<int>> points_;
 };
 
 struct SearchOutcome {
@@ -518,12 +547,12 @@ SearchOutcome run_search(const Query& query, const BnbOptions& options,
 }
 
 /// Native resumable task: owns the Search (frontier, top-1 set, box
-/// counter) across steps.  Each step re-arms the box quota, runs the
-/// worker pool until the quota is hit / the frontier drains / the search
-/// quits, and joins the workers — so between steps no thread is running
-/// and the checkpoint is just the parked frontier.  Exploration *order*
-/// is all that pausing perturbs, and the lex-lowest-witness guarantee is
-/// order-independent.
+/// counter, every worker's lane state) across steps.  Each step re-arms
+/// the box quota, runs the worker pool until the quota is hit / the
+/// frontier drains / the search quits, and joins the workers — so between
+/// steps no thread is running and the checkpoint is just the parked
+/// frontier.  Exploration *order* is all that pausing perturbs, and the
+/// lex-lowest-witness guarantee is order-independent.
 class BnbTask final : public EngineTask {
  public:
   BnbTask(Query query, BnbOptions options)
@@ -548,8 +577,11 @@ class BnbTask final : public EngineTask {
       search_->frontier.push(0, query_.box);
     }
     yield_.store(false, std::memory_order_relaxed);
+    // Saturating: an unbounded quota (UINT64_MAX) must not wrap around.
+    const std::uint64_t boxes = search_->boxes.load(std::memory_order_relaxed);
     search_->step_target =
-        search_->boxes.load(std::memory_order_relaxed) + max_work;
+        boxes +
+        std::min(max_work, std::numeric_limits<std::uint64_t>::max() - boxes);
 
     if (workers_ == 1) {
       Worker(*search_, 0).run();

@@ -283,7 +283,11 @@ class EnumerateTask final : public EngineTask {
   bool step_impl(std::uint64_t max_work, VerifyResult& out) override {
     if (volume_ == 0) return scalar_slice(max_work, out);
     const std::uint64_t lanes = batch_;
-    const std::uint64_t blocks = (max_work + lanes - 1) / lanes;
+    // Whole blocks covering max_work points, capped at the box's end so an
+    // unbounded quota (UINT64_MAX) cannot overflow.
+    const std::uint64_t blocks =
+        std::min(max_work / lanes + (max_work % lanes != 0 ? 1 : 0),
+                 (volume_ - cursor_ + lanes - 1) / lanes);
     const std::uint64_t end = std::min(volume_, cursor_ + blocks * lanes);
     const std::uint64_t chunk_blocks = (end - cursor_ + lanes - 1) / lanes;
     const std::size_t fan = static_cast<std::size_t>(

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
+#include <string_view>
 #include <thread>
 
 #include "core/analysis.hpp"
@@ -17,6 +19,7 @@
 #include "nn/network.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "verify/bnb.hpp"
 #include "verify/budget.hpp"
 #include "verify/engine.hpp"
 #include "verify/query_cache.hpp"
@@ -91,11 +94,16 @@ TEST(Task, PauseParksBeforeWorkAndResumeContinues) {
 TEST(Task, StepSizeNeverChangesVerdictOrWitness) {
   // The determinism contract: any step quota (including the minimal one)
   // yields the bit-identical verdict and witness of the blocking path,
-  // for every native task and the generic adapter.
+  // for every native task and the generic adapter.  A serial bnb search
+  // keeps its worker state across steps and visits the same boxes in the
+  // same order, so for bnb and the cascade `work` is step-size-free too.
   for (const char* name : {"enumerate", "bnb", "cascade", "sat", "interval"}) {
     const Engine& eng = engine(name);
-    for (const bool vulnerable : {true, false}) {
-      const Query q = make_q(vulnerable ? 21 : 22, 2, vulnerable);
+    const bool exact_work = name == std::string_view("bnb") ||
+                            name == std::string_view("cascade");
+    std::vector<Query> queries = {make_q(21, 2, true), make_q(22, 2, false)};
+    if (exact_work) queries.push_back(make_q(46, 40, false));  // ~380 boxes
+    for (const Query& q : queries) {
       const VerifyResult blocking = eng.verify(q);
       for (const std::uint64_t step_work : {1ull, 7ull, 1024ull}) {
         const VerifyResult stepped = drive(eng, q, {}, step_work);
@@ -103,8 +111,28 @@ TEST(Task, StepSizeNeverChangesVerdictOrWitness) {
             << name << " step " << step_work;
         EXPECT_EQ(stepped.counterexample, blocking.counterexample)
             << name << " step " << step_work;
+        if (exact_work) {
+          EXPECT_EQ(stepped.work, blocking.work)
+              << name << " step " << step_work;
+        }
       }
     }
+  }
+}
+
+TEST(Task, UnboundedQuotaFinishesInOneStep) {
+  // step(UINT64_MAX) is one unbounded slice: the quota arithmetic must
+  // saturate, not wrap around into a one-box or one-block step.
+  for (const char* name : {"enumerate", "bnb"}) {
+    const Engine& eng = engine(name);
+    const Query q = big_robust_query(12);
+    const VerifyResult blocking = eng.verify(q);
+    const auto task = eng.make_task(q, {});
+    EXPECT_EQ(task->step(std::numeric_limits<std::uint64_t>::max()),
+              TaskState::kDone)
+        << name;
+    EXPECT_EQ(task->result().verdict, blocking.verdict) << name;
+    EXPECT_EQ(task->result().work, blocking.work) << name;
   }
 }
 
@@ -206,6 +234,51 @@ TEST(TaskRace, ConcurrentPauseResumeCancelAgainstRunningSteps) {
   // Either the task decided the query (a witness found mid-walk, or the
   // walk finished) or the cancel cut it — then kUnknown must be flagged.
   EXPECT_TRUE(r.verdict != Verdict::kUnknown || r.resource_limited);
+}
+
+TEST(TaskRace, MultiWorkerBnbTaskKeepsWorkerStateAcrossSteps) {
+  // A 4-worker bnb task parks its frontier and every worker's state (bound
+  // kernel, scratch query, SoA evaluator) between steps, and hands them to
+  // the next step's threads.  At any step quota, with a pause and resume
+  // between steps, it must decide the query exactly as a serial bnb_verify.
+  // Both trees (robust, then vulnerable) run to ~1.5k serial boxes with
+  // the bias node noised.  The robust tree is exhaustive, 1,399 boxes at
+  // any worker count, so even the 1024-box quota takes two steps; the
+  // vulnerable tree's count depends on when the workers' witnesses land.
+  const Engine& eng = engine("bnb");
+  struct Case {
+    std::uint64_t net_seed;
+    std::vector<i64> x;
+  };
+  for (const Case& c : {Case{6, {70, 30, 55, 90}}, Case{4, {20, 50, 80, 35}}}) {
+    const nn::QuantizedNetwork net = nn::QuantizedNetwork::quantize(
+        nn::Network::random({4, 10, 2}, c.net_seed), 100);
+    Query q;
+    q.net = &net;
+    q.x = c.x;
+    q.true_label = net.classify_noised(q.x, {});
+    q.bias_node = true;
+    q.box = NoiseBox::symmetric(5, 40);
+    const VerifyResult serial = bnb_verify(q);
+    for (const std::uint64_t step_work : {1ull, 16ull, 1024ull}) {
+      const auto task = eng.make_task(q, VerifyContext{.threads = 4});
+      std::uint64_t steps = 1;
+      while (task->step(step_work) != TaskState::kDone) {
+        task->pause();
+        ASSERT_EQ(task->step(step_work), TaskState::kPaused);
+        task->resume();
+        ++steps;
+      }
+      const VerifyResult& r = task->result();
+      if (r.verdict == Verdict::kRobust) {
+        EXPECT_GT(steps, 1u) << "net " << c.net_seed << " step " << step_work;
+      }
+      EXPECT_EQ(r.verdict, serial.verdict)
+          << "net " << c.net_seed << " step " << step_work;
+      EXPECT_EQ(r.counterexample, serial.counterexample)
+          << "net " << c.net_seed << " step " << step_work;
+    }
+  }
 }
 
 TEST(TaskRace, BatchControlPausesAndResumesAWholeBatch) {

@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <set>
+#include <string>
 
 #include "nn/network.hpp"
 #include "util/rng.hpp"
@@ -128,11 +130,19 @@ TEST(Interval, BoundsContainPointEvaluations) {
   }
 }
 
+/// A form evaluated at one noise vector.
+i128 form_at(FormRow form, std::span<const int> deltas) {
+  i128 v = form[0];
+  for (std::size_t d = 0; d < deltas.size(); ++d) v += form[d + 1] * deltas[d];
+  return v;
+}
+
 TEST(Symbolic, OutputBoundsContainPointEvaluations) {
   const nn::QuantizedNetwork net = random_qnet(5);
   const std::vector<i64> x{10, 90, 40};
   const Query q = make_query(net, x, 0, 8);
-  const SymbolicBounds sb = symbolic_bounds(q);
+  MarginKernel kernel(q);
+  kernel.bound(q.box);
   util::Rng rng(7);
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<int> d(3);
@@ -140,14 +150,8 @@ TEST(Symbolic, OutputBoundsContainPointEvaluations) {
     const auto X = nn::QuantizedNetwork::noised_inputs(x, d);
     const auto out = net.eval_output(X);
     for (std::size_t k = 0; k < out.size(); ++k) {
-      // Evaluate the affine forms at this concrete delta.
-      i128 lo = sb.out_lo[k].c0, hi = sb.out_hi[k].c0;
-      for (std::size_t dim = 0; dim < 3; ++dim) {
-        lo += sb.out_lo[k].coeff[dim] * d[dim];
-        hi += sb.out_hi[k].coeff[dim] * d[dim];
-      }
-      EXPECT_LE(lo, static_cast<i128>(out[k]));
-      EXPECT_GE(hi, static_cast<i128>(out[k]));
+      EXPECT_LE(form_at(kernel.out_lo(k), d), static_cast<i128>(out[k]));
+      EXPECT_GE(form_at(kernel.out_hi(k), d), static_cast<i128>(out[k]));
     }
   }
 }
@@ -162,18 +166,110 @@ TEST(Symbolic, FirstLayerIsExact) {
   const nn::Network net({only});
   const nn::QuantizedNetwork q = nn::QuantizedNetwork::quantize(net, 100);
   const Query query = make_query(q, {40, 70}, 0, 6);
-  const SymbolicBounds sb = symbolic_bounds(query);
-  EXPECT_EQ(sb.unstable_relus, 0u);
+  MarginKernel kernel(query);
+  kernel.bound(query.box);
+  EXPECT_EQ(kernel.unstable_relus(), 0u);
   for (int d0 = -6; d0 <= 6; d0 += 3) {
     for (int d1 = -6; d1 <= 6; d1 += 3) {
-      const auto X = nn::QuantizedNetwork::noised_inputs(
-          query.x, std::vector<int>{d0, d1});
-      const auto out = q.eval_output(X);
+      const std::vector<int> d{d0, d1};
+      const auto out =
+          q.eval_output(nn::QuantizedNetwork::noised_inputs(query.x, d));
       for (std::size_t k = 0; k < 2; ++k) {
-        const i128 form = sb.out_lo[k].c0 + sb.out_lo[k].coeff[0] * d0 +
-                          sb.out_lo[k].coeff[1] * d1;
-        EXPECT_EQ(form, static_cast<i128>(out[k]));
-        EXPECT_EQ(sb.out_lo[k].c0, sb.out_hi[k].c0);
+        EXPECT_EQ(form_at(kernel.out_lo(k), d), static_cast<i128>(out[k]));
+        EXPECT_TRUE(std::ranges::equal(kernel.out_lo(k), kernel.out_hi(k)));
+      }
+    }
+  }
+}
+
+TEST(Symbolic, ReusedKernelMatchesFreshKernelOnEverySubBox) {
+  // bnb reuses one kernel for every box a worker visits.  Evaluated over
+  // random sub-boxes in shuffled order, a reused kernel must return
+  // exactly what a freshly built one does (no state leaks between boxes),
+  // and its forms must sandwich every grid point's exact outputs and
+  // margins.  Nets of depth 1-3 mixing ReLU and linear layers, with the
+  // bias node off and on.
+  using nn::Activation;
+  constexpr Activation kRelu = Activation::kReLU;
+  constexpr Activation kLin = Activation::kLinear;
+  struct Shape {
+    std::vector<std::size_t> widths;
+    std::vector<Activation> acts;
+  };
+  const std::vector<Shape> shapes = {
+      {{3, 2}, {kLin}},
+      {{3, 3}, {kRelu}},
+      {{3, 6, 2}, {kRelu, kLin}},
+      {{3, 6, 2}, {kLin, kRelu}},
+      {{3, 5, 4, 3}, {kRelu, kRelu, kLin}},
+      {{3, 5, 4, 3}, {kRelu, kLin, kRelu}},
+  };
+  const std::vector<i64> x{35, 80, 15};
+  std::uint64_t seed = 40;
+  for (const Shape& shape : shapes) {
+    nn::Network fnet = nn::Network::random(shape.widths, ++seed);
+    for (std::size_t li = 0; li < shape.acts.size(); ++li) {
+      fnet.layers()[li].activation = shape.acts[li];
+    }
+    const nn::QuantizedNetwork net = nn::QuantizedNetwork::quantize(fnet, 100);
+    for (const bool bias : {false, true}) {
+      const Query q = make_query(net, x, net.classify_noised(x, {}), 40, bias);
+      const std::size_t dims = q.noise_dims();
+      util::Rng rng(seed * 7 + (bias ? 1 : 0));
+      std::vector<NoiseBox> boxes(200);
+      for (NoiseBox& b : boxes) {
+        for (std::size_t d = 0; d < dims; ++d) {
+          const int lo = static_cast<int>(rng.uniform_int(-40, 40));
+          const int span = static_cast<int>(rng.uniform_int(0, 5));
+          const int hi = std::min(40, lo + span);
+          b.lo.push_back(lo);
+          b.hi.push_back(hi);
+        }
+      }
+      boxes.front() = q.box;  // the whole box too
+      std::shuffle(boxes.begin(), boxes.end(), std::mt19937_64(seed));
+
+      MarginKernel reused(q);
+      std::size_t unstable = 0;
+      for (const NoiseBox& box : boxes) {
+        reused.bound(box);
+        MarginKernel fresh(q);
+        fresh.bound(box);
+        EXPECT_EQ(reused.unstable_relus(), fresh.unstable_relus());
+        unstable += reused.unstable_relus();
+        for (std::size_t k = 0; k < reused.outputs(); ++k) {
+          using std::ranges::equal;
+          ASSERT_TRUE(equal(reused.out_lo(k), fresh.out_lo(k)));
+          ASSERT_TRUE(equal(reused.out_hi(k), fresh.out_hi(k)));
+          ASSERT_TRUE(equal(reused.margin_lo(k), fresh.margin_lo(k)));
+          ASSERT_TRUE(equal(reused.margin_hi(k), fresh.margin_hi(k)));
+        }
+        if (box.lo == q.box.lo && box.hi == q.box.hi) continue;  // rows only
+        std::vector<int> p(box.lo);
+        for (;;) {
+          const auto X = nn::QuantizedNetwork::noised_inputs(
+              q.x, std::span<const int>(p).subspan(0, q.x.size()));
+          const auto out =
+              net.eval_output(X, nn::kNoiseDen + (bias ? p.back() : 0));
+          const std::size_t y = reused.label();
+          for (std::size_t k = 0; k < out.size(); ++k) {
+            const i128 o = out[k];
+            EXPECT_LE(form_at(reused.out_lo(k), p), o);
+            EXPECT_GE(form_at(reused.out_hi(k), p), o);
+            const i128 margin = static_cast<i128>(out[y]) - out[k];
+            EXPECT_LE(form_at(reused.margin_lo(k), p), margin);
+            EXPECT_GE(form_at(reused.margin_hi(k), p), margin);
+          }
+          std::size_t d = dims;
+          while (d > 0 && ++p[d - 1] > box.hi[d - 1]) {
+            p[d - 1] = box.lo[d - 1];
+            --d;
+          }
+          if (d == 0) break;
+        }
+      }
+      if (shape.acts.front() == kRelu && shape.widths.size() > 2) {
+        EXPECT_GT(unstable, 0u) << "no ReLU was ever relaxed: weak case";
       }
     }
   }
@@ -316,6 +412,93 @@ TEST(Bnb, WorkIsFarBelowEnumeration) {
   const Query q = make_query(net, x, label, 40);
   const VerifyResult r = bnb_verify(q);
   EXPECT_LT(r.work, 81u * 81u * 81u / 10u);
+}
+
+/// FNV-1a over a collected set (deltas, bias delta, mis-label, in order).
+std::uint64_t digest(const std::vector<Counterexample>& set) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::int64_t v) {
+    h ^= static_cast<std::uint64_t>(v);
+    h *= 1099511628211ull;
+  };
+  for (const Counterexample& cex : set) {
+    for (const int d : cex.deltas) mix(d);
+    mix(cex.bias_delta);
+    mix(cex.mis_label);
+  }
+  return h;
+}
+
+TEST(Bnb, PinnedPruneDecisions) {
+  // Verdict agreement cannot see a prune decision that drifted; serial
+  // `work` can.  Pins serial box counts (per box policy), witnesses and
+  // bnb_collect(q, 50) sets on a fixed query list: robust and vulnerable,
+  // bias node on and off.  The last two rows use the wrong label, so the
+  // zero-noise point itself is a counterexample.
+  struct Pinned {
+    std::uint64_t seed;
+    std::vector<i64> x;
+    int range;
+    bool bias_node;
+    bool wrong_label;
+    std::uint64_t depth_first_work;
+    std::uint64_t best_first_work;
+    std::vector<int> witness;  // full noise vector; empty when robust
+    int mis_label;
+    std::size_t collected;
+    std::uint64_t collected_digest;
+  };
+  const std::vector<Pinned> pins = {
+      {6, {70, 30, 55, 90}, 40, false, false, 367, 367,
+       {}, -1, 0, 0xcbf29ce484222325ull},
+      {6, {70, 30, 55, 90}, 40, true, false, 1399, 1399,
+       {}, -1, 0, 0xcbf29ce484222325ull},
+      {2, {70, 30, 55, 90}, 40, true, false, 345, 345,
+       {}, -1, 0, 0xcbf29ce484222325ull},
+      {4, {70, 30, 55, 90}, 40, false, false, 549, 307,
+       {-40, -40, 31, -40}, 0, 50, 0xea707930d8bedd85ull},
+      {4, {70, 30, 55, 90}, 20, true, false, 1049, 1911,
+       {-4, -20, 19, -20, -20}, 0, 50, 0x43e9b2525872efe2ull},
+      {5, {15, 85, 40, 60}, 20, false, false, 389, 1139,
+       {-8, -20, 19, 15}, 0, 50, 0x0763858c899fe540ull},
+      {4, {20, 50, 80, 35}, 40, true, false, 1637, 3281,
+       {-40, -40, 39, -40, -40}, 0, 50, 0x0292f4633d4df194ull},
+      {4, {70, 30, 55, 90}, 40, false, true, 19, 29,
+       {-40, -40, -40, -40}, 1, 50, 0xe727d5fd5697b412ull},
+      {5, {20, 50, 80, 35}, 40, true, true, 5, 7,
+       {-40, -40, -40, -40, -40}, 0, 50, 0x5cc68abe0226719cull},
+  };
+  for (const Pinned& p : pins) {
+    const nn::QuantizedNetwork net = random_qnet(p.seed, 4, 10);
+    const int actual = net.classify_noised(p.x, {});
+    const Query q = make_query(net, p.x, p.wrong_label ? 1 - actual : actual,
+                               p.range, p.bias_node);
+    for (const auto policy : {BnbOptions::Policy::kDepthFirst,
+                              BnbOptions::Policy::kBestFirst}) {
+      BnbOptions options;
+      options.policy = policy;
+      const bool depth_first = policy == BnbOptions::Policy::kDepthFirst;
+      const std::string where =
+          "seed " + std::to_string(p.seed) + " range " +
+          std::to_string(p.range) + " bias " + std::to_string(p.bias_node) +
+          (depth_first ? " depth-first" : " best-first");
+      const VerifyResult r = bnb_verify(q, options);
+      EXPECT_EQ(r.work, depth_first ? p.depth_first_work : p.best_first_work)
+          << where;
+      if (p.witness.empty()) {
+        EXPECT_EQ(r.verdict, Verdict::kRobust) << where;
+      } else {
+        ASSERT_EQ(r.verdict, Verdict::kVulnerable) << where;
+        std::vector<int> full = r.counterexample->deltas;
+        if (p.bias_node) full.push_back(r.counterexample->bias_delta);
+        EXPECT_EQ(full, p.witness) << where;
+        EXPECT_EQ(r.counterexample->mis_label, p.mis_label) << where;
+      }
+      const std::vector<Counterexample> set = bnb_collect(q, 50, options);
+      EXPECT_EQ(set.size(), p.collected) << where;
+      EXPECT_EQ(digest(set), p.collected_digest) << where;
+    }
+  }
 }
 
 }  // namespace
