@@ -8,9 +8,15 @@
 // 1, 2 and 8 frontier workers, both box-priority policies) and *records*
 // the multi-thread speedup in BENCH_bnb.json — recorded, not gated,
 // because 1-CPU CI containers show a flat curve (docs/bench-format.md).
+// It also counts the heap allocations of the 1-thread depth-first stress
+// query through a replaced global operator new, and gates them: the box
+// loop (bound kernel, frontier, bisection) must not allocate per box.
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -23,8 +29,29 @@
 
 namespace {
 
+/// Calls of the replaced global operator new below (operator new[]
+/// forwards to it).
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
+
+namespace {
+
 using namespace fannet;
 using util::i64;
+
+/// Gate on the heap allocations of the 1-thread depth-first stress query:
+/// setting up the search allocates, its ~450k boxes must not.
+constexpr std::uint64_t kMaxStressAllocations = 1000;
 
 const char* policy_name(verify::BnbOptions::Policy policy) {
   return policy == verify::BnbOptions::Policy::kDepthFirst ? "depth_first"
@@ -97,6 +124,7 @@ int main() {
   std::puts("=== Hard-query scaling: work-stealing frontier ===");
   double depth_first_serial_ms = 0.0;
   double depth_first_8t_ms = 0.0;
+  std::uint64_t serial_allocations = 0;
   for (const auto policy : {verify::BnbOptions::Policy::kDepthFirst,
                             verify::BnbOptions::Policy::kBestFirst}) {
     double serial_ms = 0.0;
@@ -104,9 +132,12 @@ int main() {
       verify::BnbOptions options;
       options.threads = threads;
       options.policy = policy;
+      const std::uint64_t allocations_before = g_allocations.load();
       const util::Stopwatch watch;
       const verify::VerifyResult r = verify::bnb_verify(hard_query, options);
       const double ms = watch.millis();
+      const std::uint64_t allocations =
+          g_allocations.load() - allocations_before;
       if (threads == 1) serial_ms = ms;
 
       // Determinism gate: the verdict and the (lex-lowest) counterexample
@@ -127,10 +158,28 @@ int main() {
       json.add(std::string("hard_query_") + policy_name(policy), ms, r.work,
                threads);
       if (policy == verify::BnbOptions::Policy::kDepthFirst) {
-        if (threads == 1) depth_first_serial_ms = ms;
+        if (threads == 1) {
+          depth_first_serial_ms = ms;
+          serial_allocations = allocations;
+        }
         if (threads == 8) depth_first_8t_ms = ms;
       }
     }
+  }
+
+  // Allocation gate (see docs/bench-format.md "Counter records").
+  std::printf("\nheap allocations, 1-thread depth-first hard query: %llu "
+              "(gate <= %llu)\n",
+              static_cast<unsigned long long>(serial_allocations),
+              static_cast<unsigned long long>(kMaxStressAllocations));
+  json.add("allocations_hard_query_depth_first", 0.0, serial_allocations, 1);
+  if (serial_allocations > kMaxStressAllocations) {
+    std::fprintf(stderr,
+                 "FAIL: the 1-thread depth-first hard query made %llu heap "
+                 "allocations (gate <= %llu)\n",
+                 static_cast<unsigned long long>(serial_allocations),
+                 static_cast<unsigned long long>(kMaxStressAllocations));
+    return EXIT_FAILURE;
   }
 
   // Recorded headline (see docs/bench-format.md "Counter records"): the

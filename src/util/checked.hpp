@@ -19,6 +19,7 @@ namespace fannet::util {
 using i64 = std::int64_t;
 using u64 = std::uint64_t;
 using i128 = __int128;
+using u128 = unsigned __int128;
 
 /// Checked i64 addition; throws ArithmeticError on overflow.
 [[nodiscard]] inline i64 checked_add(i64 a, i64 b) {

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <limits>
 #include <map>
 #include <optional>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "nn/batch_eval.hpp"
@@ -19,8 +19,6 @@
 #include "verify/task.hpp"
 
 namespace fannet::verify {
-
-using util::i128;
 
 namespace {
 
@@ -53,25 +51,31 @@ void for_each_lex(const NoiseBox& box, Fn&& fn) {
   }
 }
 
-/// Work-stealing frontier of boxes: one deque per worker.  Owners push and
-/// pop at their own back (depth-first), idle workers steal the *oldest*
-/// half of a victim's deque — the shallowest boxes, which bisect into the
-/// most further work, so one steal keeps a thief busy for a while.
+/// Work-stealing frontier of boxes: one stack per worker, each box one
+/// flat `[lo | hi]` row of ints.  Owners push and pop at their own top
+/// (depth-first), idle workers steal the *oldest* half of a victim's
+/// stack — the shallowest boxes, which bisect into the most further work,
+/// so one steal keeps a thief busy for a while.  Boxes are copied in and
+/// out of caller-owned scratch boxes, so once the stacks have grown to the
+/// search's depth, pushing, popping and stealing allocate nothing.
 /// Termination: a global in-flight count covers queued *and*
 /// being-processed boxes; when it hits zero no box exists and none can be
 /// created, so every worker drains out of pop().
 class Frontier {
  public:
-  explicit Frontier(std::size_t workers) : lanes_(workers) {}
+  Frontier(std::size_t workers, std::size_t dims)
+      : lanes_(workers), dims_(static_cast<std::ptrdiff_t>(dims)) {}
 
-  void push(std::size_t w, NoiseBox box) {
+  void push(std::size_t w, const NoiseBox& box) {
     in_flight_.fetch_add(1, std::memory_order_acq_rel);
     Lane& lane = lanes_[w];
     const util::MutexLock lock(lane.mutex);
-    lane.deque.push_back(std::move(box));
+    lane.rows.insert(lane.rows.end(), box.lo.begin(), box.lo.end());
+    lane.rows.insert(lane.rows.end(), box.hi.begin(), box.hi.end());
   }
 
-  /// Pops the caller's newest box, stealing when its own lane is empty.
+  /// Pops the caller's newest box into `out` (sized to the query's noise
+  /// dimensions), stealing when its own lane is empty.
   /// Returns false once the search is over — `quit` was raised or the
   /// frontier is globally drained — or, when `yield` is set, once a step
   /// quota asks the workers to park (the frontier stays intact for the
@@ -86,9 +90,12 @@ class Frontier {
       {
         Lane& lane = lanes_[w];
         const util::MutexLock lock(lane.mutex);
-        if (!lane.deque.empty()) {
-          out = std::move(lane.deque.back());
-          lane.deque.pop_back();
+        if (!lane.rows.empty()) {
+          const auto top = lane.rows.end() - 2 * dims_;
+          const auto mid = top + dims_;
+          std::copy(top, mid, out.lo.begin());
+          std::copy(mid, lane.rows.end(), out.hi.begin());
+          lane.rows.erase(top, lane.rows.end());
           return true;
         }
       }
@@ -111,34 +118,37 @@ class Frontier {
  private:
   struct Lane {
     util::Mutex mutex;
-    std::deque<NoiseBox> deque FANNET_GUARDED_BY(mutex);
+    std::vector<int> rows FANNET_GUARDED_BY(mutex);  ///< oldest box first
+    /// Steal buffer, touched only by this lane's own worker.
+    std::vector<int> loot;
   };
 
   /// Steal-half: moves the older half of the first non-empty victim lane
   /// into lane `w` (age order preserved).  Returns whether anything moved.
   bool steal_into(std::size_t w) {
     const std::size_t n = lanes_.size();
+    const std::ptrdiff_t stride = 2 * dims_;
+    Lane& mine = lanes_[w];
     for (std::size_t off = 1; off < n; ++off) {
       Lane& victim = lanes_[(w + off) % n];
-      std::deque<NoiseBox> loot;
       {
         const util::MutexLock lock(victim.mutex);
-        const std::size_t have = victim.deque.size();
+        const auto have =
+            static_cast<std::ptrdiff_t>(victim.rows.size()) / stride;
         if (have == 0) continue;
-        const auto take = static_cast<std::ptrdiff_t>((have + 1) / 2);
-        loot.assign(std::make_move_iterator(victim.deque.begin()),
-                    std::make_move_iterator(victim.deque.begin() + take));
-        victim.deque.erase(victim.deque.begin(), victim.deque.begin() + take);
+        const std::ptrdiff_t take = (have + 1) / 2 * stride;
+        mine.loot.assign(victim.rows.begin(), victim.rows.begin() + take);
+        victim.rows.erase(victim.rows.begin(), victim.rows.begin() + take);
       }
-      Lane& mine = lanes_[w];
       const util::MutexLock lock(mine.mutex);
-      for (NoiseBox& box : loot) mine.deque.push_back(std::move(box));
+      mine.rows.insert(mine.rows.end(), mine.loot.begin(), mine.loot.end());
       return true;
     }
     return false;
   }
 
   std::vector<Lane> lanes_;
+  std::ptrdiff_t dims_;
   std::atomic<std::size_t> in_flight_{0};
 };
 
@@ -193,17 +203,20 @@ class TopK {
 };
 
 /// One worker's state.  The Search owns it, so it outlives task steps: the
-/// bound kernel (built once per query and worker), the scratch query the
-/// IBP ablation rewrites per box, the top-K bound cache and the lazy SoA
-/// evaluator of flips-everywhere drains.  Only worker `w` touches lane `w`,
-/// and consecutive steps' threads are ordered by the join between them.
+/// bound kernel (built once per query and worker), the scratch boxes a
+/// popped box and its halves live in, the scratch query the IBP ablation
+/// rewrites per box, the top-K bound cache and the lazy SoA evaluator of
+/// flips-everywhere drains.  Only worker `w` touches lane `w`, and
+/// consecutive steps' threads are ordered by the join between them.
 struct LaneState {
-  LaneState(const Query& q, bool symbolic) : sub(q) {
-    if (symbolic) kernel.emplace(q);
+  LaneState(const Query& q, bool symbolic)
+      : sub(q), box(q.box), left(q.box), right(q.box) {
+    if (symbolic) kernel.emplace(make_margin_kernel(q));
   }
 
-  std::optional<MarginKernel> kernel;  // symbolic pruning only
+  std::optional<AnyMarginKernel> kernel;  // symbolic pruning only
   Query sub;  // IBP only: box rewritten per candidate
+  NoiseBox box, left, right;  // the popped box and its bisection
   std::uint32_t poll = 0;  // drain_interrupted stride counter
   std::uint64_t bound_version = 0;
   std::optional<std::vector<int>> bound;
@@ -239,7 +252,7 @@ struct Search {
   std::function<bool()> extra_yield;
 
   Search(const Query& q, const BnbOptions& o, std::size_t workers)
-      : query(q), options(o), frontier(workers) {
+      : query(q), options(o), frontier(workers, q.noise_dims()) {
     lanes.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       lanes.emplace_back(q, o.use_symbolic);
@@ -251,14 +264,15 @@ struct Search {
 /// how far the weakest margin lower bound sits above the flip threshold.
 /// Negative slack means the box may flip; the most negative box is the
 /// most promising place to look for a witness (best-first policy).
-i128 margin_slack(const MarginKernel& kernel, const NoiseBox& box) {
+template <typename Row>
+Row margin_slack(const MarginKernel<Row>& kernel, const NoiseBox& box) {
   const std::size_t y = kernel.label();
-  i128 slack = 0;
+  Row slack = 0;
   bool first = true;
   for (std::size_t k = 0; k < kernel.outputs(); ++k) {
     if (k == y) continue;
-    const i128 needed = (k < y) ? 1 : 0;
-    const i128 s = form_min(kernel.margin_lo(k), box) - needed;
+    const int needed = (k < y) ? 1 : 0;
+    const Row s = form_min(kernel.margin_lo(k), box) - needed;
     if (first || s < slack) slack = s;
     first = false;
   }
@@ -272,10 +286,9 @@ class Worker {
         y_(static_cast<std::size_t>(s.query.true_label)) {}
 
   void run() {
-    NoiseBox box;
-    while (s_.frontier.pop(w_, box, s_.quit, s_.yield)) {
+    while (s_.frontier.pop(w_, lane_.box, s_.quit, s_.yield)) {
       try {
-        process(std::move(box));
+        process(lane_.box);
       } catch (...) {
         s_.error.capture();
         s_.quit.store(true, std::memory_order_release);
@@ -324,7 +337,7 @@ class Worker {
     return true;
   }
 
-  void process(NoiseBox box) {
+  void process(const NoiseBox& box) {
     const std::uint64_t seen =
         s_.boxes.fetch_add(1, std::memory_order_relaxed) + 1;
     if (seen > s_.options.max_boxes || s_.budget->interrupted()) {
@@ -346,18 +359,23 @@ class Worker {
     bool flips_everywhere = false;
     bool all_safe = false;
     if (lane_.kernel.has_value()) {
-      MarginKernel& kernel = *lane_.kernel;
-      kernel.bound(box);
-      all_safe = true;
-      for (std::size_t k = 0; k < kernel.outputs(); ++k) {
-        if (k == y_) continue;
-        const i128 needed = (k < y_) ? 1 : 0;
-        if (form_min(kernel.margin_lo(k), box) < needed) all_safe = false;
-        if (form_max(kernel.margin_hi(k), box) < needed) {
-          flips_everywhere = true;  // O_k beats O_y everywhere
-          break;
-        }
-      }
+      std::visit(
+          [&](auto& kernel) {
+            kernel.bound(box);
+            all_safe = true;
+            for (std::size_t k = 0; k < kernel.outputs(); ++k) {
+              if (k == y_) continue;
+              const int needed = (k < y_) ? 1 : 0;
+              if (form_min(kernel.margin_lo(k), box) < needed) {
+                all_safe = false;
+              }
+              if (form_max(kernel.margin_hi(k), box) < needed) {
+                flips_everywhere = true;  // O_k beats O_y everywhere
+                break;
+              }
+            }
+          },
+          *lane_.kernel);
     } else {
       lane_.sub.box = box;
       all_safe = interval_verify(lane_.sub).verdict == Verdict::kRobust;
@@ -398,8 +416,10 @@ class Worker {
       }
     }
     const int mid = box.lo[dim] + (box.hi[dim] - box.lo[dim]) / 2;
-    NoiseBox left = box;
-    NoiseBox right = std::move(box);
+    NoiseBox& left = lane_.left;
+    NoiseBox& right = lane_.right;
+    left = box;  // equal sizes: copies reuse the scratch storage
+    right = box;
     left.hi[dim] = mid;
     right.lo[dim] = mid + 1;
 
@@ -410,16 +430,14 @@ class Worker {
       // The kernel still holds the parent's forms, which stay sound on
       // sub-boxes, so scoring is O(dims) per margin — no re-propagation.
       // Ties keep the depth-first order.
-      left_first = margin_slack(*lane_.kernel, left) <=
-                   margin_slack(*lane_.kernel, right);
+      left_first = std::visit(
+          [&](const auto& kernel) {
+            return margin_slack(kernel, left) <= margin_slack(kernel, right);
+          },
+          *lane_.kernel);
     }
-    if (left_first) {
-      s_.frontier.push(w_, std::move(right));
-      s_.frontier.push(w_, std::move(left));
-    } else {
-      s_.frontier.push(w_, std::move(left));
-      s_.frontier.push(w_, std::move(right));
-    }
+    s_.frontier.push(w_, left_first ? right : left);
+    s_.frontier.push(w_, left_first ? left : right);
   }
 
   /// Batched flips-everywhere drain: stages chunks of the box's lex-order

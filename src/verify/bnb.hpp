@@ -10,10 +10,12 @@
 /// boxes that provably contain no counterexample are skipped wholesale.
 ///
 /// Parallel execution (`BnbOptions::threads`) fans the box frontier across
-/// per-worker deques: owners pop depth-first from their own back, idle
-/// workers steal the oldest half of a victim's deque (the shallow boxes,
-/// which split into the most further work).  Results stay deterministic for
-/// any thread count:
+/// per-worker stacks of flat `[lo | hi]` box rows: owners pop depth-first
+/// from their own top, idle workers steal the oldest half of a victim's
+/// stack (the shallow boxes, which split into the most further work).
+/// Boxes are popped into and bisected through per-worker scratch boxes, so
+/// the box loop allocates nothing.  Results stay deterministic for any
+/// thread count:
 ///
 ///   - `bnb_verify` returns the *lexicographically lowest* counterexample
 ///     in the box (full noise vector: input deltas, then the bias delta) —

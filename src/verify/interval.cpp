@@ -11,15 +11,40 @@ using util::i64;
 
 namespace {
 
+[[noreturn, gnu::noinline, gnu::cold]] void throw_overflow() {
+  throw ArithmeticError("interval bounds: int128 overflow");
+}
+
+[[nodiscard]] bool fits_i64(i128 v) noexcept {
+  return static_cast<i128>(static_cast<i64>(v)) == v;
+}
+
+[[nodiscard]] inline i128 mul(i128 a, i128 b) {
+  // Two int64 factors cannot overflow int128: the common case skips the
+  // full overflow-checked 128-bit multiply.
+  if (fits_i64(a) && fits_i64(b)) {
+    return static_cast<i128>(static_cast<i64>(a)) * static_cast<i64>(b);
+  }
+  i128 r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) throw_overflow();
+  return r;
+}
+
+[[nodiscard]] inline i128 add(i128 a, i128 b) {
+  i128 r = 0;
+  if (__builtin_add_overflow(a, b, &r)) throw_overflow();
+  return r;
+}
+
 /// Contribution bounds of weight * value for value in [lo, hi].
 inline void accumulate(i128& acc_lo, i128& acc_hi, i64 weight, i128 lo,
                        i128 hi) {
   if (weight >= 0) {
-    acc_lo += weight * lo;
-    acc_hi += weight * hi;
+    acc_lo = add(acc_lo, mul(weight, lo));
+    acc_hi = add(acc_hi, mul(weight, hi));
   } else {
-    acc_lo += weight * hi;
-    acc_hi += weight * lo;
+    acc_lo = add(acc_lo, mul(weight, hi));
+    acc_hi = add(acc_hi, mul(weight, lo));
   }
 }
 
@@ -57,10 +82,11 @@ IntervalBounds interval_bounds(const Query& q) {
       if (li == 0) {
         // Bias input node may be noised: term = Bq * input_norm * bf.
         const i128 base = static_cast<i128>(layer.bias[j]) * net.input_norm();
-        accumulate(lo, hi, 1, std::min(base * bf_lo, base * bf_hi),
-                   std::max(base * bf_lo, base * bf_hi));
+        const i128 at_lo = mul(base, bf_lo);
+        const i128 at_hi = mul(base, bf_hi);
+        accumulate(lo, hi, 1, std::min(at_lo, at_hi), std::max(at_lo, at_hi));
       } else {
-        lo = hi = static_cast<i128>(layer.bias[j]) * act_scale;
+        lo = hi = mul(layer.bias[j], act_scale);
       }
       const auto row = layer.weights.row(j);
       for (std::size_t i = 0; i < layer.in_dim(); ++i) {
@@ -77,7 +103,8 @@ IntervalBounds interval_bounds(const Query& q) {
     }
     act_lo = std::move(z_lo);
     act_hi = std::move(z_hi);
-    act_scale *= util::Fixed::kScale;
+    // Checked after the output layer too, as the exact evaluator does.
+    act_scale = mul(act_scale, util::Fixed::kScale);
   }
   return out;
 }
@@ -93,7 +120,10 @@ VerifyResult interval_verify(const Query& q) {
   for (std::size_t k = 0; k < out_lo.size(); ++k) {
     if (k == y) continue;
     // Margin M_k = O_y - O_k; conservative lower bound loses correlation.
-    const i128 margin_lb = out_lo[y] - out_hi[k];
+    i128 margin_lb = 0;
+    if (__builtin_sub_overflow(out_lo[y], out_hi[k], &margin_lb)) {
+      throw_overflow();
+    }
     const i128 needed = (k < y) ? 1 : 0;  // tie resolves to the lower index
     if (margin_lb < needed) {
       result.verdict = Verdict::kUnknown;

@@ -12,10 +12,13 @@
 #include <random>
 #include <set>
 #include <string>
+#include <variant>
 
 #include "nn/network.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "verify/bnb.hpp"
+#include "verify/engine.hpp"
 #include "verify/enumerate.hpp"
 #include "verify/interval.hpp"
 #include "verify/query.hpp"
@@ -131,34 +134,80 @@ TEST(Interval, BoundsContainPointEvaluations) {
 }
 
 /// A form evaluated at one noise vector.
-i128 form_at(FormRow form, std::span<const int> deltas) {
+template <typename Row>
+i128 form_at(FormRow<Row> form, std::span<const int> deltas) {
   i128 v = form[0];
-  for (std::size_t d = 0; d < deltas.size(); ++d) v += form[d + 1] * deltas[d];
+  for (std::size_t d = 0; d < deltas.size(); ++d) {
+    v += static_cast<i128>(form[d + 1]) * deltas[d];
+  }
   return v;
+}
+
+/// Exact outputs of the query's network at one full noise vector.
+std::vector<i64> outputs_at(const Query& q, std::span<const int> p) {
+  const auto X = nn::QuantizedNetwork::noised_inputs(
+      q.x, p.subspan(0, q.x.size()));
+  return q.net->eval_output(X,
+                            nn::kNoiseDen + (q.bias_node ? p.back() : 0));
+}
+
+/// Calls fn(point) for every grid point of `box`, last dimension fastest.
+template <typename Fn>
+void for_each_point(const NoiseBox& box, Fn&& fn) {
+  std::vector<int> p(box.lo);
+  for (;;) {
+    fn(std::span<const int>(p));
+    std::size_t d = box.dims();
+    while (d > 0 && ++p[d - 1] > box.hi[d - 1]) {
+      p[d - 1] = box.lo[d - 1];
+      --d;
+    }
+    if (d == 0) return;
+  }
+}
+
+/// Every margin row of `kernel` sandwiches the exact margin
+/// O_y − O_k at every grid point of `box`.
+template <typename Row>
+void expect_margins_sandwich(const MarginKernel<Row>& kernel, const Query& q,
+                             const NoiseBox& box) {
+  const std::size_t y = kernel.label();
+  for_each_point(box, [&](std::span<const int> p) {
+    const std::vector<i64> out = outputs_at(q, p);
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      const i128 margin = static_cast<i128>(out[y]) - out[k];
+      EXPECT_LE(form_at(kernel.margin_lo(k), p), margin);
+      EXPECT_GE(form_at(kernel.margin_hi(k), p), margin);
+    }
+  });
 }
 
 TEST(Symbolic, OutputBoundsContainPointEvaluations) {
   const nn::QuantizedNetwork net = random_qnet(5);
   const std::vector<i64> x{10, 90, 40};
   const Query q = make_query(net, x, 0, 8);
-  MarginKernel kernel(q);
-  kernel.bound(q.box);
-  util::Rng rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<int> d(3);
-    for (auto& v : d) v = static_cast<int>(rng.uniform_int(-8, 8));
-    const auto X = nn::QuantizedNetwork::noised_inputs(x, d);
-    const auto out = net.eval_output(X);
-    for (std::size_t k = 0; k < out.size(); ++k) {
-      EXPECT_LE(form_at(kernel.out_lo(k), d), static_cast<i128>(out[k]));
-      EXPECT_GE(form_at(kernel.out_hi(k), d), static_cast<i128>(out[k]));
-    }
-  }
+  AnyMarginKernel any = make_margin_kernel(q);
+  std::visit(
+      [&](auto& kernel) {
+        kernel.bound(q.box);
+        util::Rng rng(7);
+        for (int trial = 0; trial < 200; ++trial) {
+          std::vector<int> d(3);
+          for (auto& v : d) v = static_cast<int>(rng.uniform_int(-8, 8));
+          const std::vector<i64> out = outputs_at(q, d);
+          for (std::size_t k = 0; k < out.size(); ++k) {
+            const i128 margin = static_cast<i128>(out[0]) - out[k];
+            EXPECT_LE(form_at(kernel.margin_lo(k), d), margin);
+            EXPECT_GE(form_at(kernel.margin_hi(k), d), margin);
+          }
+        }
+      },
+      any);
 }
 
 TEST(Symbolic, FirstLayerIsExact) {
-  // With a single-layer network the symbolic forms must be exact: lower
-  // and upper coincide, and evaluating the form reproduces eval_output.
+  // With a single-layer network the margin rows must be exact: lower and
+  // upper coincide, and evaluating the row reproduces the exact margin.
   nn::Layer only;
   only.weights = la::MatrixD::from_rows({{0.5, -1.5}, {2.0, 0.25}});
   only.bias = {0.1, -0.2};
@@ -166,7 +215,7 @@ TEST(Symbolic, FirstLayerIsExact) {
   const nn::Network net({only});
   const nn::QuantizedNetwork q = nn::QuantizedNetwork::quantize(net, 100);
   const Query query = make_query(q, {40, 70}, 0, 6);
-  MarginKernel kernel(query);
+  MarginKernel<i64> kernel(query);
   kernel.bound(query.box);
   EXPECT_EQ(kernel.unstable_relus(), 0u);
   for (int d0 = -6; d0 <= 6; d0 += 3) {
@@ -175,8 +224,10 @@ TEST(Symbolic, FirstLayerIsExact) {
       const auto out =
           q.eval_output(nn::QuantizedNetwork::noised_inputs(query.x, d));
       for (std::size_t k = 0; k < 2; ++k) {
-        EXPECT_EQ(form_at(kernel.out_lo(k), d), static_cast<i128>(out[k]));
-        EXPECT_TRUE(std::ranges::equal(kernel.out_lo(k), kernel.out_hi(k)));
+        EXPECT_EQ(form_at(kernel.margin_lo(k), d),
+                  static_cast<i128>(out[0]) - out[k]);
+        EXPECT_TRUE(
+            std::ranges::equal(kernel.margin_lo(k), kernel.margin_hi(k)));
       }
     }
   }
@@ -186,9 +237,10 @@ TEST(Symbolic, ReusedKernelMatchesFreshKernelOnEverySubBox) {
   // bnb reuses one kernel for every box a worker visits.  Evaluated over
   // random sub-boxes in shuffled order, a reused kernel must return
   // exactly what a freshly built one does (no state leaks between boxes),
-  // and its forms must sandwich every grid point's exact outputs and
-  // margins.  Nets of depth 1-3 mixing ReLU and linear layers, with the
-  // bias node off and on.
+  // the int64 rows must equal a fresh __int128 kernel's bit for bit, and
+  // the margin rows must sandwich every grid point's exact margin.  Nets
+  // of depth 1-3 mixing ReLU and linear layers, with nonzero biases and
+  // the bias node off and on.
   using nn::Activation;
   constexpr Activation kRelu = Activation::kReLU;
   constexpr Activation kLin = Activation::kLinear;
@@ -210,10 +262,17 @@ TEST(Symbolic, ReusedKernelMatchesFreshKernelOnEverySubBox) {
     nn::Network fnet = nn::Network::random(shape.widths, ++seed);
     for (std::size_t li = 0; li < shape.acts.size(); ++li) {
       fnet.layers()[li].activation = shape.acts[li];
+      // Nonzero biases, so every layer's bias term reaches the rows.
+      std::vector<double>& bias = fnet.layers()[li].bias;
+      for (std::size_t j = 0; j < bias.size(); ++j) {
+        bias[j] = 0.05 * static_cast<double>(j % 3) - 0.05;
+      }
     }
     const nn::QuantizedNetwork net = nn::QuantizedNetwork::quantize(fnet, 100);
     for (const bool bias : {false, true}) {
       const Query q = make_query(net, x, net.classify_noised(x, {}), 40, bias);
+      ASSERT_TRUE(
+          std::holds_alternative<MarginKernel<i64>>(make_margin_kernel(q)));
       const std::size_t dims = q.noise_dims();
       util::Rng rng(seed * 7 + (bias ? 1 : 0));
       std::vector<NoiseBox> boxes(200);
@@ -229,50 +288,105 @@ TEST(Symbolic, ReusedKernelMatchesFreshKernelOnEverySubBox) {
       boxes.front() = q.box;  // the whole box too
       std::shuffle(boxes.begin(), boxes.end(), std::mt19937_64(seed));
 
-      MarginKernel reused(q);
+      MarginKernel<i64> reused(q);
       std::size_t unstable = 0;
       for (const NoiseBox& box : boxes) {
         reused.bound(box);
-        MarginKernel fresh(q);
+        MarginKernel<i64> fresh(q);
         fresh.bound(box);
+        MarginKernel<i128> wide(q);
+        wide.bound(box);
         EXPECT_EQ(reused.unstable_relus(), fresh.unstable_relus());
+        EXPECT_EQ(reused.unstable_relus(), wide.unstable_relus());
         unstable += reused.unstable_relus();
         for (std::size_t k = 0; k < reused.outputs(); ++k) {
           using std::ranges::equal;
-          ASSERT_TRUE(equal(reused.out_lo(k), fresh.out_lo(k)));
-          ASSERT_TRUE(equal(reused.out_hi(k), fresh.out_hi(k)));
           ASSERT_TRUE(equal(reused.margin_lo(k), fresh.margin_lo(k)));
           ASSERT_TRUE(equal(reused.margin_hi(k), fresh.margin_hi(k)));
+          ASSERT_TRUE(equal(reused.margin_lo(k), wide.margin_lo(k)));
+          ASSERT_TRUE(equal(reused.margin_hi(k), wide.margin_hi(k)));
         }
         if (box.lo == q.box.lo && box.hi == q.box.hi) continue;  // rows only
-        std::vector<int> p(box.lo);
-        for (;;) {
-          const auto X = nn::QuantizedNetwork::noised_inputs(
-              q.x, std::span<const int>(p).subspan(0, q.x.size()));
-          const auto out =
-              net.eval_output(X, nn::kNoiseDen + (bias ? p.back() : 0));
-          const std::size_t y = reused.label();
-          for (std::size_t k = 0; k < out.size(); ++k) {
-            const i128 o = out[k];
-            EXPECT_LE(form_at(reused.out_lo(k), p), o);
-            EXPECT_GE(form_at(reused.out_hi(k), p), o);
-            const i128 margin = static_cast<i128>(out[y]) - out[k];
-            EXPECT_LE(form_at(reused.margin_lo(k), p), margin);
-            EXPECT_GE(form_at(reused.margin_hi(k), p), margin);
-          }
-          std::size_t d = dims;
-          while (d > 0 && ++p[d - 1] > box.hi[d - 1]) {
-            p[d - 1] = box.lo[d - 1];
-            --d;
-          }
-          if (d == 0) break;
-        }
+        expect_margins_sandwich(reused, q, box);
       }
       if (shape.acts.front() == kRelu && shape.widths.size() > 2) {
         EXPECT_GT(unstable, 0u) << "no ReLU was ever relaxed: weak case";
       }
     }
   }
+}
+
+TEST(Symbolic, CancellingWeightsRunTheWideKernel) {
+  // Two hidden neurons with identical rows feed the first output through
+  // weights +W and -W, so O_0 is exactly its bias and every output fits
+  // int64; but the certificate sums absolute values, so it passes 2^62
+  // and the kernel must run in __int128.  Root box ±3 keeps the hidden
+  // neurons active (the cancellation survives as forms, robust); ±10
+  // makes them unstable (relaxed independently, vulnerable).
+  nn::Layer hidden;
+  hidden.weights = la::MatrixD::from_rows({{0.5, -0.25}, {0.5, -0.25}});
+  hidden.bias = {0.0, 0.0};
+  hidden.activation = nn::Activation::kReLU;
+  nn::Layer out;
+  out.weights = la::MatrixD::from_rows({{1e8, -1e8}, {0.3, 0.2}});
+  out.bias = {0.02, 0.0};
+  out.activation = nn::Activation::kLinear;
+  const nn::QuantizedNetwork net =
+      nn::QuantizedNetwork::quantize(nn::Network({hidden, out}), 100);
+  const std::vector<i64> x{40, 70};
+  for (const int range : {3, 10}) {
+    const Query q = make_query(net, x, net.classify_noised(x, {}), range);
+    EXPECT_GT(margin_certificate(q), MarginKernel<i64>::kCeiling);
+    EXPECT_THROW(MarginKernel<i64>{q}, ArithmeticError);
+    AnyMarginKernel any = make_margin_kernel(q);
+    ASSERT_TRUE(std::holds_alternative<MarginKernel<i128>>(any));
+    MarginKernel<i128>& kernel = std::get<MarginKernel<i128>>(any);
+    kernel.bound(q.box);
+    expect_margins_sandwich(kernel, q, q.box);
+    NoiseBox corner = q.box;
+    corner.hi = {0, 0};
+    kernel.bound(corner);
+    expect_margins_sandwich(kernel, q, corner);
+
+    const VerifyResult truth = enumerate_find_first(q);
+    const VerifyResult fast = bnb_verify(q);
+    EXPECT_EQ(fast.verdict, truth.verdict) << "range " << range;
+    EXPECT_EQ(fast.counterexample, truth.counterexample) << "range " << range;
+    EXPECT_EQ(truth.verdict,
+              range == 3 ? Verdict::kRobust : Verdict::kVulnerable);
+  }
+}
+
+TEST(Symbolic, BoundRejectsBoxesOutsideTheQueryBox) {
+  // The certificate only covers sub-boxes of the query's box.
+  const nn::QuantizedNetwork net = random_qnet(5);
+  const Query q = make_query(net, {10, 90, 40}, 0, 8);
+  MarginKernel<i64> kernel(q);
+  NoiseBox box = q.box;
+  EXPECT_NO_THROW(kernel.bound(box));
+  box.lo[1] = -9;
+  EXPECT_THROW(kernel.bound(box), InvalidArgument);
+  box = q.box;
+  box.hi[2] = 9;
+  EXPECT_THROW(kernel.bound(box), InvalidArgument);
+  box = q.box;
+  box.lo[0] = 5;
+  box.hi[0] = 4;
+  EXPECT_THROW(kernel.bound(box), InvalidArgument);
+  EXPECT_THROW(kernel.bound(NoiseBox::symmetric(2, 1)), InvalidArgument);
+}
+
+TEST(Verifiers, OverflowingDeepNetThrowsArithmeticError) {
+  // Depth 9, width 3: the exact values outgrow __int128 long before the
+  // output, so no bounding engine may wrap; each reports ArithmeticError.
+  const nn::Network fnet =
+      nn::Network::random({3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, 7);
+  const nn::QuantizedNetwork net = nn::QuantizedNetwork::quantize(fnet, 100);
+  const Query q = make_query(net, {40, 70, 20}, 0, 10);
+  EXPECT_THROW((void)interval_verify(q), ArithmeticError);
+  EXPECT_THROW((void)symbolic_verify(q), ArithmeticError);
+  EXPECT_THROW((void)bnb_verify(q), ArithmeticError);
+  EXPECT_THROW((void)registry().get("cascade").verify(q), ArithmeticError);
 }
 
 TEST(Verifiers, SoundnessOnRobustCertificates) {
@@ -433,8 +547,11 @@ TEST(Bnb, PinnedPruneDecisions) {
   // Verdict agreement cannot see a prune decision that drifted; serial
   // `work` can.  Pins serial box counts (per box policy), witnesses and
   // bnb_collect(q, 50) sets on a fixed query list: robust and vulnerable,
-  // bias node on and off.  The last two rows use the wrong label, so the
-  // zero-noise point itself is a counterexample.
+  // bias node on and off.  Rows with `wrong_label` set use the next label
+  // instead of the true one, so the zero-noise point itself is a
+  // counterexample.  The 2-layer rows' output layer reads the exact first
+  // layer; the depth-3, 3-output rows after them also reach the relaxed
+  // middle layer and two margins per query.
   struct Pinned {
     std::uint64_t seed;
     std::vector<i64> x;
@@ -447,6 +564,7 @@ TEST(Bnb, PinnedPruneDecisions) {
     int mis_label;
     std::size_t collected;
     std::uint64_t collected_digest;
+    std::vector<std::size_t> widths = {4, 10, 2};
   };
   const std::vector<Pinned> pins = {
       {6, {70, 30, 55, 90}, 40, false, false, 367, 367,
@@ -467,19 +585,35 @@ TEST(Bnb, PinnedPruneDecisions) {
        {-40, -40, -40, -40}, 1, 50, 0xe727d5fd5697b412ull},
       {5, {20, 50, 80, 35}, 40, true, true, 5, 7,
        {-40, -40, -40, -40, -40}, 0, 50, 0x5cc68abe0226719cull},
+      {6, {70, 30, 55, 90}, 40, false, false, 933, 933,
+       {}, -1, 0, 0xcbf29ce484222325ull, {4, 8, 6, 3}},
+      {2, {20, 50, 80, 35}, 20, true, false, 1315, 1315,
+       {}, -1, 0, 0xcbf29ce484222325ull, {4, 8, 6, 3}},
+      {1, {20, 50, 80, 35}, 20, false, false, 375, 1585,
+       {-20, -19, -20, 19}, 0, 50, 0x99001f0ae8ba37a4ull, {4, 8, 6, 3}},
+      {3, {15, 85, 40, 60}, 20, true, false, 1085, 1289,
+       {-20, 9, -20, -20, -20}, 2, 50, 0x3232862b0c3d19c4ull, {4, 8, 6, 3}},
+      {7, {20, 50, 80, 35}, 40, true, false, 1757, 4647,
+       {-40, -32, -40, -40, -40}, 1, 50, 0x9bf39d2b08b8c010ull, {4, 8, 6, 3}},
+      {1, {20, 50, 80, 35}, 20, true, true, 27, 1171,
+       {-20, -20, -20, -20, -20}, 2, 50, 0x868799a49e3a1ec2ull, {4, 8, 6, 3}},
   };
   for (const Pinned& p : pins) {
-    const nn::QuantizedNetwork net = random_qnet(p.seed, 4, 10);
+    const nn::QuantizedNetwork net = nn::QuantizedNetwork::quantize(
+        nn::Network::random(p.widths, p.seed), 100);
     const int actual = net.classify_noised(p.x, {});
-    const Query q = make_query(net, p.x, p.wrong_label ? 1 - actual : actual,
-                               p.range, p.bias_node);
+    const int outputs = static_cast<int>(net.output_dim());
+    const Query q =
+        make_query(net, p.x, p.wrong_label ? (actual + 1) % outputs : actual,
+                   p.range, p.bias_node);
     for (const auto policy : {BnbOptions::Policy::kDepthFirst,
                               BnbOptions::Policy::kBestFirst}) {
       BnbOptions options;
       options.policy = policy;
       const bool depth_first = policy == BnbOptions::Policy::kDepthFirst;
       const std::string where =
-          "seed " + std::to_string(p.seed) + " range " +
+          "depth " + std::to_string(p.widths.size() - 1) + " seed " +
+          std::to_string(p.seed) + " range " +
           std::to_string(p.range) + " bias " + std::to_string(p.bias_node) +
           (depth_first ? " depth-first" : " best-first");
       const VerifyResult r = bnb_verify(q, options);
