@@ -1,11 +1,9 @@
 // Ablation of the design choices DESIGN.md calls out:
 //  - which P2 engine answers the query fastest — every strategy in the
 //    engine registry (enumerate / interval / symbolic / bnb / cascade /
-//    explicit-mc / bmc) runs the same query, registered as benchmarks
+//    explicit-mc / sat) runs the same query, registered as benchmarks
 //    straight off the registry so new engines show up here automatically,
-//  - symbolic vs plain-interval pruning inside the branch-and-bound,
-//  - the BDD-vs-SAT model-checker trade-off the paper cites when choosing
-//    an SMT-based tool (BDD blow-up on the bit-blasted network model).
+//  - symbolic vs plain-interval pruning inside the branch-and-bound.
 //
 // All engines answer the same query on the same trained network, so the
 // numbers are directly comparable; correctness agreement is enforced by
@@ -18,8 +16,6 @@
 #include <vector>
 
 #include "core/casestudy.hpp"
-#include "core/translate.hpp"
-#include "mc/bddmc.hpp"
 #include "util/benchjson.hpp"
 #include "util/stopwatch.hpp"
 #include "verify/bnb.hpp"
@@ -48,7 +44,7 @@ verify::Query sample_query(int range) {
 /// the box volume; the MC paths re-translate the model per query).
 std::vector<int> ranges_for(const std::string& engine) {
   if (engine == "enumerate") return {1, 2, 3};
-  if (engine == "explicit-mc" || engine == "bmc") return {1, 2};
+  if (engine == "explicit-mc") return {1, 2};
   return {1, 3, 10, 25, 50};
 }
 
@@ -64,40 +60,13 @@ BENCHMARK(BM_P2_BnbIntervalOnly)
     ->Arg(1)->Arg(3)->Arg(10)
     ->Unit(benchmark::kMillisecond);
 
-/// The BDD side of the paper's tool discussion: symbolic reachability on
-/// the bit-blasted model of a *thin* network (2-3-2) — node counts explode
-/// far before the 5-20-2 case-study net, which is exactly why the paper's
-/// authors picked an SMT-based model checker.
-void BM_P2_BddTinyNet(benchmark::State& state) {
-  const nn::Network net = nn::Network::random({2, 3, 2}, 33);
-  const nn::QuantizedNetwork qnet = nn::QuantizedNetwork::quantize(net, 100);
-  const std::vector<util::i64> x{50, 60};
-  verify::Query q;
-  q.net = &qnet;
-  q.x = x;
-  q.true_label = qnet.classify_noised(x, {});
-  q.box = verify::NoiseBox::symmetric(2, static_cast<int>(state.range(0)));
-  const core::Translation t = core::translate_sample(q);
-  std::size_t peak = 0;
-  for (auto _ : state) {
-    mc::BddOptions options;
-    options.max_nodes = 30'000'000;
-    const mc::BddChecker checker(t.module, options);
-    const auto r = checker.check_invariant(t.module.specs().front().expr);
-    peak = r.peak_nodes;
-    benchmark::DoNotOptimize(r.holds);
-  }
-  state.counters["bdd_nodes"] = static_cast<double>(peak);
-}
-BENCHMARK(BM_P2_BddTinyNet)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::puts("=== Engine ablation: one P2 query answered by every registered");
   std::puts(" engine (enumerate = ground truth; bnb = complete default;");
-  std::puts(" cascade = sound-screen portfolio; explicit/bmc = model-checking");
-  std::puts(" paths; bdd = the PSPACE alternative the paper rejects) ===\n");
+  std::puts(" cascade = sound-screen portfolio; explicit-mc / sat = the");
+  std::puts(" SMV-translation paths) ===\n");
 
   // One benchmark per registry entry — new engines ablate automatically.
   for (const std::string& name : verify::registry().names()) {

@@ -1,10 +1,9 @@
 // Micro-benchmarks of the from-scratch substrates: the CDCL SAT solver,
-// the BDD package, the exact fixed-point forward pass, and the
-// bit-blasting/Tseitin pipeline.  These bound the cost of everything the
+// the exact fixed-point forward pass, and the bit-blasting/Tseitin
+// pipeline.  These bound the cost of everything the
 // higher-level harnesses do.
 #include <benchmark/benchmark.h>
 
-#include "bdd/bdd.hpp"
 #include "circuit/tseitin.hpp"
 #include "core/casestudy.hpp"
 #include "mc/compile.hpp"
@@ -75,23 +74,6 @@ void BM_SatRandom3Sat(benchmark::State& state) {
 BENCHMARK(BM_SatRandom3Sat)->Arg(50)->Arg(100)->Arg(150)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// BDD
-// ---------------------------------------------------------------------------
-void BM_BddNQueensStyleConjunction(benchmark::State& state) {
-  const unsigned n = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    bdd::Manager m(n);
-    // Chain of xors and ands exercising ite + unique table.
-    bdd::Bdd f = m.bdd_true();
-    for (unsigned i = 0; i + 1 < n; ++i) {
-      f = m.land(f, m.lxor(m.var(i), m.var(i + 1)));
-    }
-    benchmark::DoNotOptimize(m.sat_count(f));
-  }
-}
-BENCHMARK(BM_BddNQueensStyleConjunction)->Arg(16)->Arg(24)->Arg(64);
-
-// ---------------------------------------------------------------------------
 // Exact forward pass + translation + bit-blasting
 // ---------------------------------------------------------------------------
 void BM_ExactForwardPass(benchmark::State& state) {
@@ -130,7 +112,7 @@ void BM_BitBlastNetworkModel(benchmark::State& state) {
     const auto s0 = compiler.make_state_inputs(c);
     const auto step = compiler.step(c, s0);
     // The property cone carries the whole network (every DEFINE: scaled
-    // inputs, 20 ReLU neurons, outputs, argmax) — that is what BMC pays.
+    // inputs, 20 ReLU neurons, outputs, argmax) — that is what sat pays.
     const circuit::CLit prop =
         compiler.compile_bool(c, t.module.specs().front().expr, s0);
     sat::Solver solver;
@@ -148,7 +130,7 @@ BENCHMARK(BM_BitBlastNetworkModel)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   // Headline JSON: one hard SAT instance (the conflict-driven core is what
-  // bounds the BMC engine's cost).
+  // bounds the sat engine's cost).
   util::BenchJson json("substrates");
   {
     const util::Stopwatch watch;

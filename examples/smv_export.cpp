@@ -1,7 +1,7 @@
 // Behavior Extraction demo: translate a trained network + one test sample
 // into the SMV model the paper feeds nuXmv, print it, and model-check the
-// P1/P2 properties with our own backends (explicit-state here; the bmc
-// bench exercises the SAT path on the same model).
+// P1/P2 properties with our own backends (explicit-state here; the sat
+// engine bit-blasts the same model to CNF).
 //
 // The .smv text written to leukemia_sample.smv is nuXmv-compatible.
 #include <algorithm>

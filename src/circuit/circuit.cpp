@@ -27,13 +27,6 @@ Word Circuit::add_input_word(std::size_t width) {
   return w;
 }
 
-std::size_t Circuit::input_ordinal(std::uint32_t node) const {
-  if (!is_input(node)) {
-    throw InvalidArgument("Circuit::input_ordinal: node is not an input");
-  }
-  return static_cast<std::size_t>(input_ordinal_[node]);
-}
-
 std::pair<CLit, CLit> Circuit::fanins(std::uint32_t node) const {
   if (node >= nodes_.size() || node == 0 || is_input(node)) {
     throw InvalidArgument("Circuit::fanins: not an AND node");

@@ -5,9 +5,7 @@
 /// representation: an And-Inverter Graph with structural hashing and constant
 /// folding, plus two's-complement word operations (add, negate, multiply by
 /// constant via shift-add, signed comparison, mux).  The netlist then exports
-/// to CNF (Tseitin encoding, consumed by the CDCL solver for BMC) or to BDDs
-/// (consumed by the symbolic reachability engine) — the two backends the
-/// paper weighs against each other when picking nuXmv.
+/// to CNF (Tseitin encoding, consumed by the CDCL solver of the SAT engine).
 #pragma once
 
 #include <cstdint>
@@ -71,9 +69,6 @@ class Circuit {
   [[nodiscard]] bool is_input(std::uint32_t node) const {
     return node < input_ordinal_.size() && input_ordinal_[node] >= 0;
   }
-  /// Creation-order ordinal of an input node (precondition: is_input).
-  [[nodiscard]] std::size_t input_ordinal(std::uint32_t node) const;
-
   /// Fanins of an AND node (precondition: not an input/constant).
   [[nodiscard]] std::pair<CLit, CLit> fanins(std::uint32_t node) const;
 

@@ -36,7 +36,7 @@ struct Engine {
   [[nodiscard]] friend bool operator==(const Engine&, const Engine&) = default;
 
   static const Engine kEnumerate, kInterval, kSymbolic, kBnB, kCascade,
-      kExplicitMc, kBmc;
+      kExplicitMc;
 };
 
 inline const Engine Engine::kEnumerate{"enumerate"};
@@ -45,7 +45,6 @@ inline const Engine Engine::kSymbolic{"symbolic"};
 inline const Engine Engine::kBnB{"bnb"};
 inline const Engine Engine::kCascade{"cascade"};
 inline const Engine Engine::kExplicitMc{"explicit-mc"};
-inline const Engine Engine::kBmc{"bmc"};
 
 [[nodiscard]] std::string to_string(Engine e);
 

@@ -12,7 +12,7 @@
 ///
 /// The whole encoding is integer-only: the common scale factors of
 /// nn::QuantizedNetwork replace division (DESIGN.md §4.1), so any backend
-/// (explicit, BMC, BDD) answers exactly the same query as the exact-integer
+/// (explicit-state, SAT) answers exactly the same query as the exact-integer
 /// verification engines — the property tests assert this agreement.
 ///
 /// make_fig3_label_fsm() / make_fig3_noise_fsm() build the paper's Fig.-3

@@ -27,12 +27,6 @@ std::size_t SmvCompiler::var_width(std::size_t var) const {
   return widths_.at(var);
 }
 
-std::size_t SmvCompiler::state_bits() const {
-  std::size_t total = 0;
-  for (const std::size_t w : widths_) total += w;
-  return total;
-}
-
 std::vector<Word> SmvCompiler::make_state_inputs(Circuit& c) const {
   std::vector<Word> state;
   state.reserve(widths_.size());

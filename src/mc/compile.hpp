@@ -4,10 +4,8 @@
 /// Every SMV variable becomes a two's-complement word sized to its declared
 /// domain; expressions compile to word/bit logic; nondeterministic choices
 /// ({...} sets, lo..hi ranges, unassigned variables) become fresh oracle
-/// inputs constrained to their legal values.  The same step function feeds
-/// both the SAT-based bounded model checker (via Tseitin) and the BDD-based
-/// symbolic engine (via BddConverter) — the two backend families the paper
-/// compares when motivating its choice of model checker.
+/// inputs constrained to their legal values.  The step function feeds the
+/// SAT engine's one-step unroll (via Tseitin, mc/sat_engine.hpp).
 #pragma once
 
 #include <optional>
@@ -26,8 +24,6 @@ class SmvCompiler {
 
   /// Word width of a variable (two's complement, covers its domain).
   [[nodiscard]] std::size_t var_width(std::size_t var) const;
-  /// Sum of all variable widths (the symbolic state width).
-  [[nodiscard]] std::size_t state_bits() const;
 
   /// Fresh circuit inputs representing one symbolic state.
   [[nodiscard]] std::vector<circuit::Word> make_state_inputs(

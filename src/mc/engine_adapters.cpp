@@ -1,16 +1,18 @@
 #include "mc/engine_adapters.hpp"
 
 #include "core/translate.hpp"
-#include "mc/bmc.hpp"
 #include "mc/explicit.hpp"
 #include "mc/sat_engine.hpp"
+#include "verify/task.hpp"
 
 namespace fannet::mc {
 
 using verify::Verdict;
 using verify::VerifyResult;
 
-VerifyResult ExplicitMcEngine::verify(const verify::Query& query) const {
+namespace {
+
+VerifyResult explicit_mc_verify(const verify::Query& query) {
   const core::Translation t = core::translate_sample(query);
   const ExplicitChecker checker(t.module);
   const InvariantResult r =
@@ -27,24 +29,12 @@ VerifyResult ExplicitMcEngine::verify(const verify::Query& query) const {
   return out;
 }
 
-VerifyResult BmcEngine::verify(const verify::Query& query) const {
-  const core::Translation t = core::translate_sample(query);
-  BmcChecker checker(t.module);
-  // Depth 1 reaches the first s_eval state; the noise is re-chosen every
-  // cycle, so deeper states add no new noise vectors.
-  const BmcResult r = checker.check_invariant(t.module.specs().front().expr, 1);
-  VerifyResult out;
-  out.work = 1;
-  if (r.verdict == sat::SolveResult::kSat) {
-    out.verdict = Verdict::kVulnerable;
-    out.counterexample =
-        core::decode_counterexample(t, query, r.counterexample.states.back());
-  } else if (r.verdict == sat::SolveResult::kUnsat) {
-    out.verdict = Verdict::kRobust;
-  } else {
-    out.verdict = Verdict::kUnknown;
-  }
-  return out;
+}  // namespace
+
+std::unique_ptr<verify::EngineTask> ExplicitMcEngine::make_task(
+    const verify::Query& query, const verify::VerifyContext& context) const {
+  return verify::make_one_shot_task(explicit_mc_verify, query,
+                                    context.budget);
 }
 
 }  // namespace fannet::mc
@@ -53,7 +43,6 @@ namespace fannet::verify::detail {
 
 void register_translation_engines(EngineRegistry& registry) {
   registry.add(std::make_unique<mc::ExplicitMcEngine>());
-  registry.add(std::make_unique<mc::BmcEngine>());
   registry.add(std::make_unique<mc::SatEngine>());
 }
 

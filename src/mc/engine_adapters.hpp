@@ -1,13 +1,15 @@
 /// \file
-/// \brief Model-checking backends as pluggable verify::Engine strategies.
+/// \brief The SMV-translation engines' registration, and explicit-state
+/// model checking as a pluggable verify::Engine.
 ///
-/// Both adapters run the paper's original tool path: Behavior Extraction
-/// (core/translate) turns the query into an SMV model, then a model checker
-/// decides the INVARSPEC.  They are registered in the engine registry as
-/// "explicit-mc" and "bmc" so every consumer reaches them through the same
-/// seam as the exact-integer engines; the registry seeds them via
-/// verify::detail::register_translation_engines (defined here, in the MC
-/// layer, because the translation lives above src/verify).
+/// "explicit-mc" runs the paper's original tool path: Behavior Extraction
+/// (core/translate) turns the query into an SMV model, then the
+/// explicit-state checker (mc/explicit) decides the INVARSPEC in one
+/// blocking call, wrapped in a one-shot task (verify/task.hpp).  It is
+/// registered next to "sat" (mc/sat_engine.hpp) so every consumer reaches
+/// both through the same seam as the exact-integer engines; the registry
+/// seeds them via verify::detail::register_translation_engines (defined
+/// here, in the MC layer, because the translation lives above src/verify).
 #pragma once
 
 #include "verify/engine.hpp"
@@ -21,20 +23,9 @@ class ExplicitMcEngine final : public verify::Engine {
     return "explicit-mc";
   }
   [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] verify::VerifyResult verify(
-      const verify::Query& query) const override;
-};
-
-/// SMV translation + bit-blasting + CDCL bounded model checking (mc/bmc).
-/// Complete on this model class: depth 1 reaches every s_eval state.
-class BmcEngine final : public verify::Engine {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "bmc";
-  }
-  [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] verify::VerifyResult verify(
-      const verify::Query& query) const override;
+  [[nodiscard]] std::unique_ptr<verify::EngineTask> make_task(
+      const verify::Query& query,
+      const verify::VerifyContext& context) const override;
 };
 
 }  // namespace fannet::mc

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -226,11 +227,14 @@ class SatSession {
 };
 
 /// Native resumable task: the CNF is encoded on the first step, then each
-/// step runs one session probe under a re-armed cumulative conflict quota
-/// (min of the engine budget and conflicts-so-far + max_work) with the
-/// solver's stop callback wired to the task's yield flags — so pause,
-/// cancel, and deadline all take effect *inside* a running solve, at
-/// conflict/decision granularity, and learnt clauses persist across steps.
+/// step runs session probes until it has spent `max_work` conflicts (or the
+/// query is decided).  Every probe runs under a re-armed cumulative
+/// conflict limit (min of the engine budget and conflicts-so-far +
+/// max_work) with the solver's stop callback wired to the task's yield
+/// flags — so pause, cancel, and deadline all take effect *inside* a
+/// running solve, at conflict/decision granularity, and learnt clauses
+/// persist across steps.  Which probes share a step changes neither the
+/// solves nor their limits.
 class SatTask final : public verify::EngineTask {
  public:
   SatTask(verify::Query query, SatVerifyOptions options,
@@ -248,26 +252,41 @@ class SatTask final : public verify::EngineTask {
       session_->solver().set_stop([this] { return should_yield(); });
     }
     sat::Solver& solver = session_->solver();
-    const std::uint64_t step_cap = solver.stats().conflicts + max_work;
-    const std::uint64_t cumulative = options_.conflict_budget;
-    solver.set_conflict_limit(
-        cumulative == 0 ? step_cap : std::min(cumulative, step_cap));
+    const std::uint64_t step_start = solver.stats().conflicts;
+    for (;;) {
+      // Saturating: an unbounded quota (UINT64_MAX) must not wrap around.
+      const std::uint64_t conflicts = solver.stats().conflicts;
+      const std::uint64_t probe_cap =
+          conflicts + std::min(max_work,
+                               std::numeric_limits<std::uint64_t>::max() -
+                                   conflicts);
+      const std::uint64_t cumulative = options_.conflict_budget;
+      solver.set_conflict_limit(
+          cumulative == 0 ? probe_cap : std::min(cumulative, probe_cap));
 
-    const SatSession::Advance a = session_->advance();
-    if (a == SatSession::Advance::kDone) {
-      out = session_->take_result();
-      return true;
+      const SatSession::Advance a = session_->advance();
+      if (a == SatSession::Advance::kDone) {
+        out = session_->take_result();
+        return true;
+      }
+      if (a == SatSession::Advance::kStalled) {
+        // The engine's own budget and a deadline/cancel finalize (a
+        // witness already in hand survives, flagged resource_limited); a
+        // pause or the probe quota parks the probe for a later step.
+        if (interrupted() || engine_budget_spent()) {
+          session_->finalize_stalled();
+          out = session_->take_result();
+          return true;
+        }
+        return false;
+      }
+      // Probe done: a spent step quota, a pause, a deadline or a cancel
+      // ends the step.
+      if (solver.stats().conflicts - step_start >= max_work ||
+          should_yield()) {
+        return false;
+      }
     }
-    if (a == SatSession::Advance::kMore) return false;
-    // Stalled: the engine's own budget and a deadline/cancel finalize (a
-    // witness already in hand survives, flagged resource_limited); a pause
-    // or the step quota just parks the probe for a later step.
-    if (interrupted() || engine_budget_spent()) {
-      session_->finalize_stalled();
-      out = session_->take_result();
-      return true;
-    }
-    return false;
   }
 
   [[nodiscard]] bool engine_budget_spent() {
@@ -307,17 +326,6 @@ VerifyResult sat_verify(const verify::Query& query,
     if (a == SatSession::Advance::kStalled) session.finalize_stalled();
     return session.take_result();
   }
-}
-
-VerifyResult SatEngine::verify(const verify::Query& query) const {
-  return sat_verify(query, SatVerifyOptions{});
-}
-
-VerifyResult SatEngine::verify_with(const verify::Query& query,
-                                    const verify::VerifyContext& context) const {
-  // Drive the native task: the blocking path and the task path are then
-  // one code path, deadline/cancel included.
-  return verify::run_task(*this, query, context);
 }
 
 std::unique_ptr<verify::EngineTask> SatEngine::make_task(

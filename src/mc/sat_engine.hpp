@@ -47,24 +47,19 @@ class SatEngine final : public verify::Engine {
     return "sat";
   }
   [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] verify::VerifyResult verify(
-      const verify::Query& query) const override;
-  /// Honours VerifyContext::budget (conflict/propagation caps, deadline,
-  /// cancellation) by driving the native task to completion.
-  [[nodiscard]] verify::VerifyResult verify_with(
-      const verify::Query& query,
-      const verify::VerifyContext& context) const override;
   [[nodiscard]] verify::EngineCaps caps() const noexcept override {
     return verify::EngineCaps{.complete = true,
                               .deadline = true,
                               .budget = true,
                               .native_task = true};
   }
-  /// Native resumable task: CNF encoding on the first step, then one CDCL
-  /// probe per step (decision solve, then witness-minimization probes)
-  /// under a per-step conflict quota, with pause/cancel/deadline polled
+  /// Native resumable task: CNF encoding on the first step, then CDCL
+  /// probes (decision solve, then witness-minimization probes) until the
+  /// step's conflict quota is spent, with pause/cancel/deadline polled
   /// inside the solver at conflict granularity.  Learnt clauses persist
   /// across steps; pause/resume never changes the verdict or the witness.
+  /// Honours VerifyContext::budget: conflict/propagation caps, deadline,
+  /// cancellation.
   [[nodiscard]] std::unique_ptr<verify::EngineTask> make_task(
       const verify::Query& query,
       const verify::VerifyContext& context) const override;

@@ -225,9 +225,16 @@ struct LaneState {
   std::vector<std::vector<int>> points;
 };
 
+/// One branch-and-bound search: the frontier, every worker's lane state
+/// and the shared counters.  The constructor resolves the worker count and
+/// seeds the root box; `run()` runs the workers until the frontier drains,
+/// the search quits, or (task mode) the workers park, then joins them.
 struct Search {
   const Query& query;
+  /// `options.budget` is the deadline/cancel source, polled per box and
+  /// every ~256 drain points.
   const BnbOptions& options;
+  const std::size_t workers;
   /// Exhaustive-stream mode when set; top-K mode (via `topk`) otherwise.
   const std::function<bool(const Counterexample&)>* sink = nullptr;
   TopK* topk = nullptr;
@@ -241,9 +248,6 @@ struct Search {
   util::Mutex sink_mutex;
   util::FirstError error;
 
-  /// Deadline/cancel source (BnbOptions::budget); polled per box and every
-  /// ~256 drain points.  Always non-null once the search is set up.
-  const Budget* budget = nullptr;
   /// Cooperative step machinery (BnbTask only).  When `yield` is non-null,
   /// workers set it — and park at their next pop — once `boxes` reaches
   /// `step_target` or `extra_yield` fires (the task's pause flag).
@@ -251,13 +255,23 @@ struct Search {
   std::uint64_t step_target = 0;
   std::function<bool()> extra_yield;
 
-  Search(const Query& q, const BnbOptions& o, std::size_t workers)
-      : query(q), options(o), frontier(workers, q.noise_dims()) {
+  Search(const Query& q, const BnbOptions& o)
+      : query(q),
+        options(o),
+        workers(o.threads != 0 ? o.threads
+                               : std::max<std::size_t>(
+                                     1, std::thread::hardware_concurrency())),
+        frontier(workers, q.noise_dims()) {
     lanes.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       lanes.emplace_back(q, o.use_symbolic);
     }
+    frontier.push(0, q.box);
   }
+
+  /// Runs every worker (inline when there is one) and joins them; rethrows
+  /// the first worker exception.
+  void run();
 };
 
 /// Margin slack of a box under the kernel's current (parent) margin forms:
@@ -331,7 +345,7 @@ class Worker {
   /// valid).  Strided so the steady_clock read is amortized.
   bool drain_interrupted() {
     if ((++lane_.poll & 255u) != 0) return false;
-    if (!s_.budget->interrupted()) return false;
+    if (!s_.options.budget.interrupted()) return false;
     s_.exhausted.store(true, std::memory_order_relaxed);
     s_.quit.store(true, std::memory_order_release);
     return true;
@@ -340,7 +354,7 @@ class Worker {
   void process(const NoiseBox& box) {
     const std::uint64_t seen =
         s_.boxes.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (seen > s_.options.max_boxes || s_.budget->interrupted()) {
+    if (seen > s_.options.max_boxes || s_.options.budget.interrupted()) {
       s_.exhausted.store(true, std::memory_order_relaxed);
       s_.quit.store(true, std::memory_order_release);
       return;
@@ -495,82 +509,27 @@ class Worker {
   std::size_t y_;
 };
 
-struct SearchOutcome {
-  std::map<std::vector<int>, int> found;  // top-K mode only
-  std::uint64_t boxes = 0;
-  bool exhausted = false;
-};
-
-/// Runs the branch-and-bound frontier to completion (or cancellation) and
-/// joins every worker.  `sink` selects exhaustive-stream mode; `top_k`
-/// (with null sink) selects deterministic smallest-K collection.
-SearchOutcome run_search(const Query& query, const BnbOptions& options,
-                         const std::function<bool(const Counterexample&)>* sink,
-                         std::size_t top_k) {
-  query.validate();
-  const std::size_t workers =
-      options.threads != 0
-          ? options.threads
-          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-
-  Search search(query, options, workers);
-  search.budget = &options.budget;
-  std::optional<TopK> topk;
-  if (sink == nullptr) {
-    topk.emplace(top_k);
-    search.topk = &*topk;
-  } else {
-    search.sink = sink;
-  }
-  search.frontier.push(0, query.box);
-
+void Search::run() {
   if (workers == 1) {
-    Worker(search, 0).run();
+    Worker(*this, 0).run();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&search, w] { Worker(search, w).run(); });
+      pool.emplace_back([this, w] { Worker(*this, w).run(); });
     }
     for (std::thread& t : pool) t.join();
   }
-  search.error.rethrow_if_set();
-
-  SearchOutcome outcome;
-  if (topk.has_value()) outcome.found = topk->take();
-  outcome.boxes = search.boxes.load();
-  outcome.exhausted = search.exhausted.load();
-  return outcome;
-}
-
-/// Decision-query result from a finished top-1 search (shared by
-/// bnb_verify and the task path, so both compose identically).
-[[nodiscard]] VerifyResult compose_decision(const Query& query,
-                                            SearchOutcome outcome) {
-  VerifyResult result;
-  result.work = outcome.boxes;
-  result.resource_limited = outcome.exhausted;
-  if (!outcome.found.empty()) {
-    // Sound even under budget exhaustion: every emitted point was exactly
-    // evaluated.  Within budget this is the lex-lowest counterexample;
-    // exhausted runs may return a non-minimal (still valid) witness,
-    // flagged resource_limited so it is never cached as canonical.
-    const auto& [point, mis_label] = *outcome.found.begin();
-    result.verdict = Verdict::kVulnerable;
-    result.counterexample = make_cex(query, point, mis_label);
-  } else {
-    result.verdict = outcome.exhausted ? Verdict::kUnknown : Verdict::kRobust;
-  }
-  return result;
+  error.rethrow_if_set();
 }
 
 /// Native resumable task: owns the Search (frontier, top-1 set, box
 /// counter, every worker's lane state) across steps.  Each step re-arms
-/// the box quota, runs the worker pool until the quota is hit / the
-/// frontier drains / the search quits, and joins the workers — so between
-/// steps no thread is running and the checkpoint is just the parked
-/// frontier.  Exploration *order* is all that pausing perturbs, and the
-/// lex-lowest-witness guarantee is order-independent.
+/// the box quota, runs the workers until the quota is hit / the frontier
+/// drains / the search quits, and joins them — so between steps no thread
+/// is running and the checkpoint is just the parked frontier.  Exploration
+/// *order* is all that pausing perturbs, and the lex-lowest-witness
+/// guarantee is order-independent.
 class BnbTask final : public EngineTask {
  public:
   BnbTask(Query query, BnbOptions options)
@@ -581,18 +540,10 @@ class BnbTask final : public EngineTask {
  private:
   bool step_impl(std::uint64_t max_work, VerifyResult& out) override {
     if (!search_.has_value()) {
-      query_.validate();
-      workers_ = options_.threads != 0
-                     ? options_.threads
-                     : std::max<std::size_t>(
-                           1, std::thread::hardware_concurrency());
-      search_.emplace(query_, options_, workers_);
-      topk_.emplace(1);
-      search_->topk = &*topk_;
-      search_->budget = &budget();
+      search_.emplace(query_, options_);
+      search_->topk = &topk_;
       search_->yield = &yield_;
       search_->extra_yield = [this] { return should_yield(); };
-      search_->frontier.push(0, query_.box);
     }
     yield_.store(false, std::memory_order_relaxed);
     // Saturating: an unbounded quota (UINT64_MAX) must not wrap around.
@@ -600,35 +551,34 @@ class BnbTask final : public EngineTask {
     search_->step_target =
         boxes +
         std::min(max_work, std::numeric_limits<std::uint64_t>::max() - boxes);
-
-    if (workers_ == 1) {
-      Worker(*search_, 0).run();
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(workers_);
-      for (std::size_t w = 0; w < workers_; ++w) {
-        pool.emplace_back([this, w] { Worker(*search_, w).run(); });
-      }
-      for (std::thread& t : pool) t.join();
-    }
-    search_->error.rethrow_if_set();
+    search_->run();
 
     const bool finished = search_->quit.load(std::memory_order_acquire) ||
                           search_->frontier.drained();
     if (!finished) return false;  // parked on the step quota / a pause
-    SearchOutcome outcome;
-    outcome.found = topk_->take();
-    outcome.boxes = search_->boxes.load();
-    outcome.exhausted = search_->exhausted.load();
-    out = compose_decision(query_, std::move(outcome));
+    out.work = search_->boxes.load();
+    out.resource_limited = search_->exhausted.load();
+    const std::map<std::vector<int>, int> found = topk_.take();
+    if (!found.empty()) {
+      // Sound even under budget exhaustion: every emitted point was
+      // exactly evaluated.  Within budget this is the lex-lowest
+      // counterexample; exhausted runs may return a non-minimal (still
+      // valid) witness, flagged resource_limited so it is never cached as
+      // canonical.
+      const auto& [point, mis_label] = *found.begin();
+      out.verdict = Verdict::kVulnerable;
+      out.counterexample = make_cex(query_, point, mis_label);
+    } else {
+      out.verdict =
+          out.resource_limited ? Verdict::kUnknown : Verdict::kRobust;
+    }
     return true;
   }
 
   Query query_;
   BnbOptions options_;
-  std::size_t workers_ = 1;
   std::optional<Search> search_;  // constructed on the first step
-  std::optional<TopK> topk_;
+  TopK topk_{1};
   std::atomic<bool> yield_{false};
 };
 
@@ -637,13 +587,18 @@ class BnbTask final : public EngineTask {
 std::uint64_t bnb_stream(const Query& query,
                          const std::function<bool(const Counterexample&)>& sink,
                          BnbOptions options) {
-  const SearchOutcome outcome = run_search(query, options, &sink, 0);
-  if (outcome.exhausted) throw ResourceLimit("bnb: box budget exceeded");
-  return outcome.boxes;
+  query.validate();
+  Search search(query, options);
+  search.sink = &sink;
+  search.run();
+  if (search.exhausted.load()) throw ResourceLimit("bnb: box budget exceeded");
+  return search.boxes.load();
 }
 
 VerifyResult bnb_verify(const Query& query, BnbOptions options) {
-  return compose_decision(query, run_search(query, options, nullptr, 1));
+  const std::unique_ptr<EngineTask> task = make_bnb_task(query, options);
+  (void)task->run(std::numeric_limits<std::uint64_t>::max());
+  return task->result();
 }
 
 std::unique_ptr<EngineTask> make_bnb_task(const Query& query,
@@ -657,10 +612,15 @@ std::vector<Counterexample> bnb_collect(const Query& query,
                                         BnbOptions options) {
   std::vector<Counterexample> out;
   if (max_count == 0) return out;
-  const SearchOutcome outcome = run_search(query, options, nullptr, max_count);
-  if (outcome.exhausted) throw ResourceLimit("bnb: box budget exceeded");
-  out.reserve(outcome.found.size());
-  for (const auto& [point, mis_label] : outcome.found) {
+  query.validate();
+  TopK topk(max_count);
+  Search search(query, options);
+  search.topk = &topk;
+  search.run();
+  if (search.exhausted.load()) throw ResourceLimit("bnb: box budget exceeded");
+  const std::map<std::vector<int>, int> found = topk.take();
+  out.reserve(found.size());
+  for (const auto& [point, mis_label] : found) {
     out.push_back(make_cex(query, point, mis_label));
   }
   return out;  // std::map iteration = ascending lex order

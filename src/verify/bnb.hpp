@@ -30,6 +30,10 @@
 ///     are serialized; delivery *order* is unspecified beyond the
 ///     single-worker case, but the delivered set is the whole box's).
 ///
+/// All three share one search: `bnb_verify` runs the decision task
+/// (`make_bnb_task`) in one unbounded step, and `bnb_collect` / `bnb_stream`
+/// run the same frontier and workers without the step machinery.
+///
 /// `VerifyResult::work` (boxes processed) is bit-deterministic only for
 /// serial runs: with multiple workers the frontier prune depends on when
 /// the best-so-far witness lands, so the box count — never the verdict or
@@ -85,7 +89,8 @@ struct BnbOptions {
 };
 
 /// Decision query: the lexicographically-lowest counterexample or proof of
-/// robustness.  Exhausting `max_boxes` never throws here: the result is
+/// robustness — `make_bnb_task(query, options)` run to completion in one
+/// unbounded step.  Exhausting `max_boxes` never throws here: the result is
 /// kUnknown (with `work` = boxes processed) so schedulers and cascades
 /// degrade gracefully — or kVulnerable when a (verified, possibly not
 /// lex-minimal) witness was already in hand when the budget ran out.
@@ -110,8 +115,8 @@ std::uint64_t bnb_stream(const Query& query,
 /// work-stealing frontier is checkpointed between steps, each step
 /// processing ~`max_work` boxes before the workers park.  Pause/resume
 /// only changes worker scheduling — the lex-lowest-witness guarantee is
-/// order-independent, so verdict and witness are bit-identical to
-/// `bnb_verify` at any step size and thread count.
+/// order-independent, so verdict and witness are the same at any step size
+/// and thread count (and serial `work` is too).
 [[nodiscard]] std::unique_ptr<EngineTask> make_bnb_task(
     const Query& query, const BnbOptions& options = {});
 

@@ -52,9 +52,19 @@ struct Budget {
   /// token must outlive every dispatch carrying this budget.
   const CancelToken* cancel = nullptr;
 
+  /// `now + ms`, clamped to the clock's last representable time point, so
+  /// a deadline past what the clock can hold (from ~292 years on, where
+  /// the nanosecond conversion would overflow) never passes.
   [[nodiscard]] static std::chrono::steady_clock::time_point after_ms(
       std::uint64_t ms) {
-    return std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+    using std::chrono::steady_clock;
+    const steady_clock::time_point now = steady_clock::now();
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        steady_clock::time_point::max() - now);
+    if (ms >= static_cast<std::uint64_t>(headroom.count())) {
+      return steady_clock::time_point::max();
+    }
+    return now + std::chrono::milliseconds(ms);
   }
 
   /// True when the wall-clock deadline exists and has passed (the cancel

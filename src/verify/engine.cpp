@@ -22,16 +22,6 @@ class EnumerateEngine final : public Engine {
     return "enumerate";
   }
   [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] VerifyResult verify(const Query& query) const override {
-    return enumerate_find_first(query);
-  }
-  [[nodiscard]] VerifyResult verify_with(
-      const Query& query, const VerifyContext& context) const override {
-    EnumerateOptions options;
-    options.batch = context.batch_hint;
-    options.threads = std::max<std::size_t>(1, context.threads);
-    return enumerate_find_first(query, options);
-  }
   [[nodiscard]] EngineCaps caps() const noexcept override {
     return EngineCaps{.complete = true,
                       .deadline = true,
@@ -53,8 +43,9 @@ class IntervalEngine final : public Engine {
     return "interval";
   }
   [[nodiscard]] bool complete() const noexcept override { return false; }
-  [[nodiscard]] VerifyResult verify(const Query& query) const override {
-    return interval_verify(query);
+  [[nodiscard]] std::unique_ptr<EngineTask> make_task(
+      const Query& query, const VerifyContext& context) const override {
+    return make_one_shot_task(interval_verify, query, context.budget);
   }
 };
 
@@ -64,8 +55,9 @@ class SymbolicEngine final : public Engine {
     return "symbolic";
   }
   [[nodiscard]] bool complete() const noexcept override { return false; }
-  [[nodiscard]] VerifyResult verify(const Query& query) const override {
-    return symbolic_verify(query);
+  [[nodiscard]] std::unique_ptr<EngineTask> make_task(
+      const Query& query, const VerifyContext& context) const override {
+    return make_one_shot_task(symbolic_verify, query, context.budget);
   }
 };
 
@@ -75,13 +67,6 @@ class BnbEngine final : public Engine {
     return "bnb";
   }
   [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] VerifyResult verify(const Query& query) const override {
-    return bnb_verify(query);
-  }
-  [[nodiscard]] VerifyResult verify_with(
-      const Query& query, const VerifyContext& context) const override {
-    return bnb_verify(query, resolve_options(context));
-  }
   [[nodiscard]] EngineCaps caps() const noexcept override {
     return EngineCaps{.complete = true,
                       .deadline = true,
@@ -90,12 +75,6 @@ class BnbEngine final : public Engine {
   }
   [[nodiscard]] std::unique_ptr<EngineTask> make_task(
       const Query& query, const VerifyContext& context) const override {
-    return make_bnb_task(query, resolve_options(context));
-  }
-
- private:
-  [[nodiscard]] static BnbOptions resolve_options(
-      const VerifyContext& context) {
     BnbOptions options;
     options.threads = std::max<std::size_t>(1, context.threads);
     options.batch = context.batch_hint;
@@ -103,17 +82,17 @@ class BnbEngine final : public Engine {
     if (context.budget.max_boxes > 0) {
       options.max_boxes = context.budget.max_boxes;
     }
-    return options;
+    return make_bnb_task(query, options);
   }
 };
 
-/// Staged pipeline task for the cascade: one native sub-task per stage,
-/// advanced one bounded sub-step per parent step.  A stage deciding the
-/// query (or the last stage finishing) finalizes with work accumulated
-/// across every stage that ran — the exact composition rule of
-/// CascadeEngine::verify_with.  A deadline/cancel expiry truncates the
-/// pipeline instead of starting the next stage (flagged resource_limited,
-/// since the skipped stages might have decided).
+/// Staged pipeline task for the cascade: one sub-task per stage (the
+/// stage engine's own task), advanced one bounded sub-step per parent
+/// step.  A stage deciding the query (or the last stage finishing)
+/// finalizes with work accumulated across every stage that ran.  A
+/// deadline/cancel expiry truncates the pipeline instead of starting the
+/// next stage (flagged resource_limited, since the skipped stages might
+/// have decided).
 class CascadeTask final : public EngineTask {
  public:
   CascadeTask(std::vector<const Engine*> stages, Query query,
@@ -154,9 +133,13 @@ class CascadeTask final : public EngineTask {
 
 }  // namespace
 
-std::unique_ptr<EngineTask> Engine::make_task(
-    const Query& query, const VerifyContext& context) const {
-  return make_generic_task(*this, query, context);
+VerifyResult Engine::verify(const Query& query) const {
+  return run_task(*this, query, VerifyContext{});
+}
+
+VerifyResult Engine::verify_with(const Query& query,
+                                 const VerifyContext& context) const {
+  return run_task(*this, query, context);
 }
 
 void EngineRegistry::add(std::unique_ptr<Engine> engine) {
@@ -233,28 +216,6 @@ std::unique_ptr<CascadeEngine> CascadeEngine::with_stages(
   cascade->preresolved_ = true;
   cascade->resolved_ = std::move(stages);
   return cascade;
-}
-
-VerifyResult CascadeEngine::verify(const Query& query) const {
-  return verify_with(query, VerifyContext{});
-}
-
-VerifyResult CascadeEngine::verify_with(const Query& query,
-                                        const VerifyContext& context) const {
-  if (!preresolved_) resolve_stages();
-  VerifyResult out;
-  std::uint64_t work = 0;
-  for (const Engine* stage : resolved_) {
-    VerifyResult r = stage->verify_with(query, context);
-    work += r.work;
-    if (r.verdict != Verdict::kUnknown) {
-      r.work = work;
-      return r;
-    }
-    out = std::move(r);
-  }
-  out.work = work;
-  return out;  // every stage answered kUnknown
 }
 
 std::unique_ptr<EngineTask> CascadeEngine::make_task(

@@ -6,8 +6,12 @@
 /// interface and registers itself under a stable string key in the
 /// process-wide `EngineRegistry`.  Callers — the FANNet pipeline, the
 /// scheduler, benches, tests — select engines by name and never switch on
-/// strategy variants, so new backends (SAT portfolios, GPU batch eval,
-/// distributed sharding) plug in without touching any consumer.
+/// strategy variants, so new backends plug in without touching any
+/// consumer.
+///
+/// An engine is a task factory: `make_task` is the only way it runs
+/// (verify/task.hpp, DESIGN.md §12).  `verify` and `verify_with` are
+/// conveniences that drive that task to completion.
 ///
 /// Built-in registrations:
 ///
@@ -17,7 +21,6 @@
 ///     bnb          branch-and-bound input splitting    exact    complete
 ///     cascade      interval -> symbolic -> bnb         exact    complete
 ///     explicit-mc  SMV translation + explicit-state MC exact    complete
-///     bmc          SMV translation + CDCL bounded MC   exact    complete
 ///     sat          CNF bit-blast + CDCL + inprocessing exact    complete
 ///
 /// The MC/SAT-backed engines live in src/mc (they need the SMV translation
@@ -41,15 +44,15 @@ namespace fannet::verify {
 
 class EngineTask;
 
-/// Per-call execution context the scheduler threads down to engines.
-/// Engines that can parallelize *within* one query (branch-and-bound's
-/// work-stealing frontier; the cascade forwards to its complete stage)
-/// honour `threads`; engines that evaluate grids of noise vectors
-/// (enumerate, bnb's flips-everywhere drains) honour `batch_hint` by
-/// staging that many SoA lanes per forward pass (DESIGN.md §10); everything
-/// else ignores them.  Verdicts and witnesses are identical for every
-/// value — only wall-clock (and, for bnb, the `work` box count under
-/// threads > 1) depends on them.
+/// Per-call execution context the scheduler threads down to engines
+/// through `Engine::make_task`.  Engines that can parallelize *within* one
+/// query (branch-and-bound's work-stealing frontier, enumerate's block
+/// scan; the cascade forwards to its stages) honour `threads`; engines
+/// that evaluate grids of noise vectors (enumerate, bnb's flips-everywhere
+/// drains) honour `batch_hint` by staging that many SoA lanes per forward
+/// pass (DESIGN.md §10); everything else ignores them.  Verdicts and
+/// witnesses are identical for every value — only wall-clock (and, for
+/// bnb, the `work` box count under threads > 1) depends on them.
 struct VerifyContext {
   std::size_t threads = 1;  ///< intra-query worker budget (>= 1)
   /// SoA evaluation lanes per batched forward pass: 0 = auto
@@ -69,16 +72,16 @@ struct VerifyContext {
 struct EngineCaps {
   bool complete = false;     ///< mirrors Engine::complete()
   /// Cooperatively honours Budget::deadline / Budget::cancel with bounded
-  /// overshoot (native-task engines).  Engines without it still finalize
-  /// an expired task before the *next* step, but a started blocking call
-  /// runs to completion.
+  /// overshoot (native-task engines).  Engines without it run a one-shot
+  /// task: an expired budget still finalizes it before its step, but a
+  /// started step runs to completion.
   bool deadline = false;
   bool budget = false;       ///< honours a work cap (boxes / conflicts)
   bool native_task = false;  ///< make_task checkpoints between steps
 };
 
 /// One P2 decision strategy.  Implementations must be stateless or
-/// internally synchronized: the scheduler calls `verify` concurrently.
+/// internally synchronized: the scheduler calls `make_task` concurrently.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -94,32 +97,32 @@ class Engine {
   /// complete engines share cached verdicts.
   [[nodiscard]] virtual bool complete() const noexcept = 0;
 
-  /// Decides the query exactly and deterministically.
-  /// \param query a validated P2 query (see Query::validate()).
-  /// \return the verdict, a counterexample iff kVulnerable, and the
-  ///   engine-specific `work` effort counter.
-  [[nodiscard]] virtual VerifyResult verify(const Query& query) const = 0;
-
-  /// Context-aware entry point used by the scheduler; the default ignores
-  /// the context, so plain engines only implement `verify`.
-  [[nodiscard]] virtual VerifyResult verify_with(
-      const Query& query, const VerifyContext& /*context*/) const {
-    return verify(query);
-  }
-
   /// Capability introspection; the default claims nothing beyond
   /// completeness.  Engines with native tasks override.
   [[nodiscard]] virtual EngineCaps caps() const noexcept {
     return EngineCaps{.complete = complete()};
   }
 
-  /// Creates a resumable task for the query (verify/task.hpp).  The
-  /// default wraps `verify_with` in a single-step generic adapter; engines
-  /// with long-running loops override with a native incremental task that
-  /// checkpoints between steps.  The query is copied; the network it
-  /// points to (and the context's cancel token, if any) must outlive the
-  /// task.
+  /// Creates a resumable task for the query (verify/task.hpp) — the one
+  /// way an engine runs.  Engines with long-running loops return a native
+  /// task that checkpoints between steps; the others return a one-shot
+  /// task over their decision function (`make_one_shot_task`).  The query
+  /// is copied; the network it points to (and the context's cancel token,
+  /// if any) must outlive the task.
   [[nodiscard]] virtual std::unique_ptr<EngineTask> make_task(
+      const Query& query, const VerifyContext& context) const = 0;
+
+  /// Decides the query exactly and deterministically by running
+  /// `make_task(query, {})` to completion (`run_task`).
+  /// \param query a validated P2 query (see Query::validate()).
+  /// \return the verdict, a counterexample iff kVulnerable, and the
+  ///   engine-specific `work` effort counter.
+  [[nodiscard]] virtual VerifyResult verify(const Query& query) const;
+
+  /// `run_task(*this, query, context)`.  No engine in src/ overrides
+  /// either convenience; they stay virtual for pass-through wrappers such
+  /// as the benchmark's traced engine (perf/src/traced_engine.cpp).
+  [[nodiscard]] virtual VerifyResult verify_with(
       const Query& query, const VerifyContext& context) const;
 };
 
@@ -181,12 +184,6 @@ class CascadeEngine final : public Engine {
     return "cascade";
   }
   [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] VerifyResult verify(const Query& query) const override;
-  /// Grants the whole context (the scheduler's leftover threads) to every
-  /// stage; the sound-only screens ignore it, so in practice the budget
-  /// lands on the final complete (bnb) stage.
-  [[nodiscard]] VerifyResult verify_with(
-      const Query& query, const VerifyContext& context) const override;
   /// Deadline/budget support is inherited from the stages (the final bnb
   /// stage polls them natively).
   [[nodiscard]] EngineCaps caps() const noexcept override {
@@ -195,8 +192,11 @@ class CascadeEngine final : public Engine {
                       .budget = true,
                       .native_task = true};
   }
-  /// Staged pipeline task: one sub-task per stage (each stage's own native
-  /// task), advanced on kUnknown with work accumulated across stages.
+  /// Staged pipeline task: one sub-task per stage (each stage's own task),
+  /// advanced on kUnknown with work accumulated across stages.  Every
+  /// stage gets the whole context (the scheduler's leftover threads); the
+  /// sound-only screens ignore it, so in practice the grant lands on the
+  /// final complete (bnb) stage.
   [[nodiscard]] std::unique_ptr<EngineTask> make_task(
       const Query& query, const VerifyContext& context) const override;
 
@@ -211,15 +211,15 @@ class CascadeEngine final : public Engine {
   std::vector<std::string> stages_;
   /// True when the stages were injected as pointers (already resolved).
   bool preresolved_ = false;
-  /// Stage engines resolved on first verify (registry entries are stable
-  /// for the process lifetime), so the per-query hot path takes no lock.
+  /// Stage engines resolved on first use (registry entries are stable for
+  /// the process lifetime), so the per-query hot path takes no lock.
   mutable std::once_flag resolve_once_;
   mutable std::vector<const Engine*> resolved_;
 };
 
 namespace detail {
 /// Defined in src/mc/engine_adapters.cpp: registers the SMV-translation
-/// backed engines ("explicit-mc", "bmc", "sat").  Declared here so the
+/// backed engines ("explicit-mc", "sat").  Declared here so the
 /// registry can seed them without a header dependency on the MC layer.
 void register_translation_engines(EngineRegistry& registry);
 }  // namespace detail

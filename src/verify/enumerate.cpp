@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -18,12 +19,8 @@ namespace {
 
 using u128 = unsigned __int128;
 
-/// Serial chunk sizes ramp up from here to the full batch, so decision
-/// queries that hit a witness in the first few points stay near-scalar.
-constexpr std::size_t kRampStart = 8;
-
 /// Box volume, or 0 if it exceeds ~2^62 (practically unenumerable; the
-/// parallel splitter falls back to the serial walk there).
+/// task falls back to the scalar odometer there).
 [[nodiscard]] std::uint64_t bounded_volume(const Query& q) {
   u128 volume = 1;
   for (std::size_t d = 0; d < q.noise_dims(); ++d) {
@@ -71,16 +68,6 @@ void stage_lane(const Query& q, std::span<const int> delta,
   batch.push_noised(q.x, delta.subspan(0, n), nn::kNoiseDen + bias_delta);
 }
 
-/// Label of one evaluated lane, reproducing the scalar path's exception
-/// for lanes the batched kernel flagged: the scalar re-run throws the
-/// genuine ArithmeticError at exactly the point the scalar walk would.
-[[nodiscard]] int lane_label(const Query& q,
-                             const nn::BatchEvaluator::Batch& batch,
-                             std::size_t lane, std::span<const int> delta) {
-  if (batch.overflowed(lane)) return classify_under_noise(q, delta);
-  return batch.label(lane);
-}
-
 [[nodiscard]] Counterexample make_cex(const Query& q,
                                       std::span<const int> delta, int label) {
   Counterexample cex;
@@ -91,8 +78,8 @@ void stage_lane(const Query& q, std::span<const int> delta,
   return cex;
 }
 
-/// The scalar reference walk — kept verbatim as the oracle the batched
-/// paths are validated against (bench_batch_eval, test_batch_eval).
+/// The scalar reference walk behind enumerate_stream / enumerate_collect:
+/// the oracle the batched decision scan is validated against.
 std::uint64_t scalar_stream(
     const Query& q, const std::function<bool(const Counterexample&)>& sink) {
   std::vector<int> delta(q.box.lo.begin(), q.box.lo.end());
@@ -107,49 +94,11 @@ std::uint64_t scalar_stream(
   }
 }
 
-/// Serial batched walk: chunks of lanes in odometer order through the SoA
-/// kernel, scanned in order so sink calls, early stops, the visited count,
-/// and overflow throws all match the scalar walk bit-for-bit.
-std::uint64_t batched_stream(
-    const Query& q, const std::function<bool(const Counterexample&)>& sink,
-    std::size_t batch_lanes) {
-  nn::BatchEvaluator evaluator(*q.net);
-  nn::BatchEvaluator::Batch batch = evaluator.make_batch();
-  std::vector<std::vector<int>> staged;
-  std::vector<int> delta(q.box.lo.begin(), q.box.lo.end());
-  std::uint64_t visited = 0;
-  std::size_t chunk = std::min(kRampStart, batch_lanes);
-  bool exhausted = false;
-
-  while (!exhausted) {
-    batch.clear();
-    staged.clear();
-    while (staged.size() < chunk && !exhausted) {
-      stage_lane(q, delta, batch);
-      staged.push_back(delta);
-      exhausted = !advance(q, delta);
-    }
-    evaluator.run(batch);
-    for (std::size_t t = 0; t < staged.size(); ++t) {
-      ++visited;
-      const int label = lane_label(q, batch, t, staged[t]);
-      if (label != q.true_label) {
-        if (!sink(make_cex(q, staged[t], label))) return visited;
-      }
-    }
-    chunk = std::min(chunk * 2, batch_lanes);
-  }
-  return visited;
-}
-
-/// Parallel decision walk: the linearized box is split into fixed blocks
-/// of `batch_lanes` points, claimed in ascending order off an atomic
-/// cursor.  Each worker batch-evaluates its block and records its first
-/// *event* (counterexample or overflow); the globally lowest event index
-/// wins, and blocks past the best-so-far event block are skipped (every
-/// block below it was claimed earlier, so it is fully processed before the
-/// workers drain).  Verdict, witness, and work are therefore the scalar
-/// walk's: work = event index + 1 on a hit, the box volume on a proof.
+/// The batched decision scan: the linearized box is split into fixed
+/// blocks of `batch_lanes` points.  Each block's first *event*
+/// (counterexample or overflow) is recorded and the globally lowest event
+/// index wins, so verdict, witness, and work are the scalar walk's:
+/// work = event index + 1 on a hit, the box volume on a proof.
 struct BlockEvent {
   std::uint64_t index = 0;
   int label = 0;
@@ -243,29 +192,15 @@ struct BlockEvent {
   return result;
 }
 
-[[nodiscard]] VerifyResult parallel_find_first(const Query& q,
-                                               std::uint64_t volume,
-                                               std::size_t batch_lanes,
-                                               std::size_t threads) {
-  const std::optional<BlockEvent> best =
-      scan_range(q, 0, volume, batch_lanes, threads);
-  if (!best.has_value()) {
-    VerifyResult result;
-    result.verdict = Verdict::kRobust;
-    result.work = volume;
-    return result;
-  }
-  return event_result(q, *best);
-}
-
 /// Native resumable task: a linear cursor over the bounded box volume,
 /// scanning `max_work` points (rounded up to whole blocks) per step
 /// through `scan_range`.  Because blocks are fixed and chunks cover
 /// [cursor, end) contiguously, the first event found is the globally
 /// lowest one regardless of where step boundaries land — the determinism
-/// contract of verify/task.hpp falls out structurally.  Practically
-/// unenumerable boxes (bounded_volume() == 0) fall back to a serial
-/// scalar odometer slice, which the batched paths are bit-identical to.
+/// contract of verify/task.hpp falls out structurally.  `batch = 1` (the
+/// scalar reference walk, EnumerateOptions::batch) and practically
+/// unenumerable boxes (bounded_volume() == 0) run a serial scalar odometer
+/// slice instead, which the batched scan is bit-identical to.
 class EnumerateTask final : public EngineTask {
  public:
   EnumerateTask(Query query, const EnumerateOptions& options,
@@ -281,7 +216,7 @@ class EnumerateTask final : public EngineTask {
 
  private:
   bool step_impl(std::uint64_t max_work, VerifyResult& out) override {
-    if (volume_ == 0) return scalar_slice(max_work, out);
+    if (volume_ == 0 || batch_ == 1) return scalar_slice(max_work, out);
     const std::uint64_t lanes = batch_;
     // Whole blocks covering max_work points, capped at the box's end so an
     // unbounded quota (UINT64_MAX) cannot overflow.
@@ -306,8 +241,8 @@ class EnumerateTask final : public EngineTask {
     return true;
   }
 
-  /// Serial scalar odometer slice for unenumerable volumes; yields at
-  /// 64-point checkpoints so pause/cancel stay prompt.
+  /// Serial scalar odometer slice (batch = 1, unenumerable volumes);
+  /// yields at 64-point checkpoints so pause/cancel stay prompt.
   bool scalar_slice(std::uint64_t max_work, VerifyResult& out) {
     const Query& q = query_;  // const ref so the odometer helper resolves
     if (!started_) {
@@ -338,7 +273,7 @@ class EnumerateTask final : public EngineTask {
   std::size_t threads_;
   std::uint64_t volume_;
   std::uint64_t cursor_ = 0;
-  // Scalar-fallback odometer state.
+  // Scalar odometer state.
   std::vector<int> delta_;
   bool started_ = false;
   std::uint64_t visited_ = 0;
@@ -347,39 +282,17 @@ class EnumerateTask final : public EngineTask {
 }  // namespace
 
 std::uint64_t enumerate_stream(
-    const Query& q, const std::function<bool(const Counterexample&)>& sink,
-    const EnumerateOptions& options) {
+    const Query& q, const std::function<bool(const Counterexample&)>& sink) {
   q.validate();
-  const std::size_t batch = nn::BatchEvaluator::resolve_batch(options.batch);
-  if (batch == 1) return scalar_stream(q, sink);
-  return batched_stream(q, sink, batch);
+  return scalar_stream(q, sink);
 }
 
 VerifyResult enumerate_find_first(const Query& query,
                                   const EnumerateOptions& options) {
-  query.validate();
-  const std::size_t batch = nn::BatchEvaluator::resolve_batch(options.batch);
-  std::size_t threads = options.threads == 0
-                            ? std::max(1u, std::thread::hardware_concurrency())
-                            : options.threads;
-  if (batch > 1 && threads > 1) {
-    const std::uint64_t volume = bounded_volume(query);
-    // Only fan out when there are enough blocks to go around; tiny boxes
-    // (and practically-unenumerable ones) use the serial walk.
-    if (volume > 0 && volume / batch >= 2 * threads) {
-      return parallel_find_first(query, volume, batch, threads);
-    }
-  }
-  VerifyResult result;
-  result.verdict = Verdict::kRobust;
-  result.work = enumerate_stream(query,
-                                 [&](const Counterexample& cex) {
-                                   result.verdict = Verdict::kVulnerable;
-                                   result.counterexample = cex;
-                                   return false;  // stop at first
-                                 },
-                                 options);
-  return result;
+  const std::unique_ptr<EngineTask> task =
+      make_enumerate_task(query, options, Budget{});
+  (void)task->run(std::numeric_limits<std::uint64_t>::max());
+  return task->result();
 }
 
 std::unique_ptr<EngineTask> make_enumerate_task(const Query& query,
@@ -390,16 +303,13 @@ std::unique_ptr<EngineTask> make_enumerate_task(const Query& query,
 }
 
 std::vector<Counterexample> enumerate_collect(const Query& query,
-                                              std::size_t max_count,
-                                              const EnumerateOptions& options) {
+                                              std::size_t max_count) {
   std::vector<Counterexample> out;
   if (max_count == 0) return out;  // cap checked before push, not after
-  enumerate_stream(query,
-                   [&](const Counterexample& cex) {
-                     out.push_back(cex);
-                     return out.size() < max_count;
-                   },
-                   options);
+  enumerate_stream(query, [&](const Counterexample& cex) {
+    out.push_back(cex);
+    return out.size() < max_count;
+  });
   return out;
 }
 

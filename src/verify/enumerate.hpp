@@ -6,22 +6,21 @@
 /// the clever engines against, and the collector that materializes the full
 /// adversarial-noise-vector corpus (the paper's P3 loop) for small ranges.
 ///
-/// Internally the walk is batched: noise vectors are staged into an SoA
-/// `nn::BatchEvaluator` batch and evaluated through one vectorized MAC
-/// kernel (DESIGN.md §10).  Results — verdicts, witnesses, sink calls, the
-/// visited count, and ArithmeticError overflow behavior — are bit-identical
-/// to the scalar walk for every batch size and thread count:
+/// Two walks, bit-identical in verdicts, witnesses, the visited count and
+/// ArithmeticError overflow behavior:
 ///
-///   - lanes are scanned in odometer order, so the first counterexample and
-///     the visited count match the scalar scan (lanes staged past a stop
-///     are discarded uncounted);
-///   - a lane the batched kernel flags as overflowing is re-run through the
-///     scalar path, which throws the genuine exception at exactly the point
-///     the scalar walk would have;
-///   - the parallel decision walk (enumerate_find_first with threads > 1)
-///     splits the box into fixed blocks claimed in ascending order and
-///     keeps the lowest-index event, so verdict, witness, and `work` are
-///     pure functions of the query.
+///   - the scalar odometer (`enumerate_stream`, `enumerate_collect`, and
+///     the decision query at `batch = 1`) — the reference walk;
+///   - the batched decision scan (`make_enumerate_task`, which
+///     `enumerate_find_first` runs in one unbounded step): the linearized
+///     box is split into fixed blocks of `batch` points, each staged into
+///     an SoA `nn::BatchEvaluator` batch and evaluated through one
+///     vectorized MAC kernel (DESIGN.md §10), and the lowest-index event
+///     wins, so the first counterexample and `work` match the odometer for
+///     every batch size, thread count and step size.  A lane the batched
+///     kernel flags as overflowing is re-run through the scalar path, which
+///     throws the genuine exception at exactly the point the scalar walk
+///     would have.
 #pragma once
 
 #include <functional>
@@ -34,40 +33,37 @@ namespace fannet::verify {
 
 class EngineTask;
 
-/// Execution knobs; every setting produces bit-identical results.
+/// Execution knobs of the decision query; every setting produces
+/// bit-identical results.
 struct EnumerateOptions {
   /// Evaluation lanes per batched forward pass: 1 = the scalar reference
-  /// walk, 0 = auto (nn::BatchEvaluator::kAutoBatch).  Serial chunk sizes
-  /// ramp up from 8 so early-exit decision queries waste little work.
+  /// walk, 0 = auto (nn::BatchEvaluator::kAutoBatch).
   std::size_t batch = 0;
-  /// Worker threads for the decision query (enumerate_find_first only;
-  /// streaming and collection stay serial so sink order is the odometer
-  /// order): 1 = serial, 0 = one per hardware thread.
+  /// Worker threads sharing each step's blocks: 1 = serial, 0 = one per
+  /// hardware thread.  The scalar walk (batch = 1) is always serial.
   std::size_t threads = 1;
 };
 
-/// Decision query: stops at the first counterexample.
+/// Decision query: stops at the first counterexample in odometer order.
 [[nodiscard]] VerifyResult enumerate_find_first(
     const Query& query, const EnumerateOptions& options = {});
 
 /// Collects up to `max_count` counterexamples (all of them if the box
-/// volume allows; deterministic lexicographic order).
+/// volume allows; deterministic odometer order).
 [[nodiscard]] std::vector<Counterexample> enumerate_collect(
-    const Query& query, std::size_t max_count,
-    const EnumerateOptions& options = {});
+    const Query& query, std::size_t max_count);
 
 /// Streaming variant: invokes `sink` per counterexample; return false from
 /// the sink to stop early.  Returns the number of vectors visited.
 std::uint64_t enumerate_stream(
     const Query& query,
-    const std::function<bool(const Counterexample&)>& sink,
-    const EnumerateOptions& options = {});
+    const std::function<bool(const Counterexample&)>& sink);
 
 /// Native incremental task for the decision query (verify/task.hpp): each
 /// step scans the next `max_work` grid points (rounded up to whole
 /// evaluation blocks) of the linearized box, so the walk pauses, resumes,
 /// and honours `budget` deadlines at block granularity.  Verdict, witness,
-/// and `work` are bit-identical to `enumerate_find_first` for every step
+/// and `work` are bit-identical to the scalar odometer's for every step
 /// size, batch, and thread count.
 [[nodiscard]] std::unique_ptr<EngineTask> make_enumerate_task(
     const Query& query, const EnumerateOptions& options, const Budget& budget);

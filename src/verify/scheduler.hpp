@@ -24,8 +24,8 @@
 /// cache-off.
 ///
 /// Cache misses are decided by *driving the engine's resumable task*
-/// (`Engine::make_task`, DESIGN.md §12) in a step loop rather than one
-/// blocking `verify_with` call.  That is what makes the batch entry points
+/// (`Engine::make_task`, DESIGN.md §12) in a step loop — the only way an
+/// engine runs.  That is what makes the batch entry points
 /// deadline-aware and controllable: `SchedulerOptions::deadline_ms` arms a
 /// fresh per-query `Budget::after_ms` deadline at each dispatch (expiry →
 /// kUnknown with `resource_limited`, overshoot bounded by one step), and a
@@ -59,16 +59,18 @@ class QueryCache;
 struct SchedulerOptions {
   /// Worker count; 0 = one worker per hardware thread.
   std::size_t threads = 0;
-  /// Intra-query worker budget granted to each engine dispatch (via
-  /// `Engine::verify_with`), so inter- and intra-query parallelism share
-  /// one thread budget instead of oversubscribing.  0 (the default) means
-  /// *leftover threads*: when a batch has fewer queries than workers, the
-  /// idle workers are handed to the engines (branch-and-bound's
-  /// work-stealing frontier; the cascade forwards the grant to its final
-  /// bnb stage) — one hard query on an otherwise idle machine then uses
-  /// every core.  Full batches grant 1, i.e. the classic across-queries
-  /// fan-out.  Verdicts and witnesses are identical for every setting;
-  /// bnb's `work` box count is only bit-deterministic under a grant of 1.
+  /// Intra-query worker budget granted to each engine dispatch (as
+  /// `VerifyContext::threads`, which `Engine::make_task` hands to the
+  /// task), so inter- and intra-query parallelism share one thread budget
+  /// instead of oversubscribing.  0 (the default) means *leftover
+  /// threads*: when a batch has fewer queries than workers, the idle
+  /// workers are handed to the engines (branch-and-bound's work-stealing
+  /// frontier, enumerate's block scan; the cascade forwards the grant to
+  /// its final bnb stage) — one hard query on an otherwise idle machine
+  /// then uses every core.  Full batches grant 1, i.e. the classic
+  /// across-queries fan-out.  Verdicts and witnesses are identical for
+  /// every setting; bnb's `work` box count is only bit-deterministic under
+  /// a grant of 1.
   std::size_t intra_query_threads = 0;
   /// SoA evaluation lanes granted to every engine dispatch (via
   /// `VerifyContext::batch_hint`): 0 = auto (nn::BatchEvaluator::kAutoBatch),

@@ -75,14 +75,11 @@ const VerifyResult& EngineTask::result() const FANNET_NO_THREAD_SAFETY_ANALYSIS 
 
 namespace {
 
-/// Default adapter: the whole blocking verify_with call as one step.
-class GenericEngineTask final : public EngineTask {
+class OneShotTask final : public EngineTask {
  public:
-  GenericEngineTask(const Engine& engine, Query query, VerifyContext context)
-      : EngineTask(context.budget),
-        engine_(engine),
-        query_(std::move(query)),
-        context_(context) {}
+  OneShotTask(VerifyResult (*decide)(const Query&), Query query,
+              const Budget& budget)
+      : EngineTask(budget), decide_(decide), query_(std::move(query)) {}
 
  private:
   bool step_impl(std::uint64_t /*max_work*/, VerifyResult& out) override {
@@ -91,21 +88,20 @@ class GenericEngineTask final : public EngineTask {
       out.resource_limited = true;
       return true;
     }
-    out = engine_.verify_with(query_, context_);
+    out = decide_(query_);
     return true;
   }
 
-  const Engine& engine_;
+  VerifyResult (*decide_)(const Query&);
   Query query_;
-  VerifyContext context_;
 };
 
 }  // namespace
 
-std::unique_ptr<EngineTask> make_generic_task(const Engine& engine,
-                                              const Query& query,
-                                              const VerifyContext& context) {
-  return std::make_unique<GenericEngineTask>(engine, query, context);
+std::unique_ptr<EngineTask> make_one_shot_task(
+    VerifyResult (*decide)(const Query&), const Query& query,
+    const Budget& budget) {
+  return std::make_unique<OneShotTask>(decide, query, budget);
 }
 
 VerifyResult run_task(const Engine& engine, const Query& query,

@@ -1,16 +1,17 @@
 /// \file
 /// \brief Resumable cooperative engine tasks (DESIGN.md §12).
 ///
-/// `EngineTask` turns a blocking `Engine::verify_with` call into an
-/// explicit state machine — kUninitialized → kRunning ⇄ kPaused → kDone —
-/// with a bounded `step(max_work)` surface, so a serving layer can hold
-/// thousands of in-flight P2 queries, time-slice them, pause and resume
-/// them, cancel them, and bound them with wall-clock deadlines.  Engines
-/// with real long-running loops (enumerate's grid walk, bnb's
-/// work-stealing frontier, the cascade's staged pipeline, sat's CDCL solve
-/// + witness minimization) provide native tasks that checkpoint their
-/// frontier/trail between steps; every other engine gets a generic
-/// one-step adapter via `Engine::make_task`'s default.
+/// `EngineTask` is the only way an engine runs: an explicit state machine —
+/// kUninitialized → kRunning ⇄ kPaused → kDone — with a bounded
+/// `step(max_work)` surface, so a serving layer can hold thousands of
+/// in-flight P2 queries, time-slice them, pause and resume them, cancel
+/// them, and bound them with wall-clock deadlines.  Engines with real
+/// long-running loops (enumerate's grid walk, bnb's work-stealing
+/// frontier, the cascade's staged pipeline, sat's CDCL solve + witness
+/// minimization) provide native tasks that checkpoint their
+/// frontier/trail between steps; the rest (interval, symbolic,
+/// explicit-mc) return a one-shot task whose single step runs their
+/// decision function (`make_one_shot_task`).
 ///
 /// Determinism contract: a task paused and resumed at *any* step
 /// boundaries yields the bit-identical verdict and the same
@@ -138,19 +139,20 @@ class EngineTask {
   util::Mutex step_mutex_;  ///< serializes step bodies
 };
 
-/// Runs `engine.make_task(query, context)` to completion and returns its
-/// result — the task-path equivalent of `engine.verify_with(query,
-/// context)`, used by `cached_verify` so every cached dispatch goes
-/// through the task substrate.
+/// Runs `engine.make_task(query, context)` to completion at
+/// kDefaultStepWork per step and returns its result.  This is what
+/// `Engine::verify` / `verify_with` and `cached_verify` do.
 [[nodiscard]] VerifyResult run_task(const Engine& engine, const Query& query,
                                     const VerifyContext& context);
 
-/// Default `Engine::make_task` adapter: one step that runs the whole
-/// blocking `verify_with` call.  A pre-step deadline/cancel check still
-/// maps to kUnknown + resource_limited, but a started step runs to
-/// completion — engines that need bounded overshoot implement a native
-/// task instead.
-[[nodiscard]] std::unique_ptr<EngineTask> make_generic_task(
-    const Engine& engine, const Query& query, const VerifyContext& context);
+/// One-shot task over a decision function that has no checkpoints
+/// (interval_verify, symbolic_verify, explicit-state model checking): its
+/// single step runs `decide(query)` to completion.  A deadline or cancel
+/// that fired before the step maps to kUnknown + resource_limited without
+/// calling `decide`; a started step cannot be interrupted, so its
+/// overshoot past a deadline is unbounded.
+[[nodiscard]] std::unique_ptr<EngineTask> make_one_shot_task(
+    VerifyResult (*decide)(const Query&), const Query& query,
+    const Budget& budget);
 
 }  // namespace fannet::verify

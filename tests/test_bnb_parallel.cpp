@@ -21,6 +21,7 @@
 #include "verify/enumerate.hpp"
 #include "verify/query_cache.hpp"
 #include "verify/scheduler.hpp"
+#include "verify/task.hpp"
 
 namespace fannet::verify {
 namespace {
@@ -219,11 +220,13 @@ class TinyBudgetBnb final : public Engine {
     return "bnb-tiny-budget";
   }
   [[nodiscard]] bool complete() const noexcept override { return true; }
-  [[nodiscard]] VerifyResult verify(const Query& query) const override {
+  [[nodiscard]] std::unique_ptr<EngineTask> make_task(
+      const Query& query, const VerifyContext& context) const override {
     BnbOptions opt;
     opt.max_boxes = max_boxes_;
     opt.use_symbolic = false;  // weak pruning forces splitting
-    return bnb_verify(query, opt);
+    opt.budget = context.budget;
+    return make_bnb_task(query, opt);
   }
 
  private:

@@ -1,12 +1,12 @@
-// Unit + property tests for the AIG/word circuit builder, the Tseitin CNF
-// encoder and the circuit->BDD lowering.  Word operations are validated
-// against native integer arithmetic on random operands.
+// Unit + property tests for the AIG/word circuit builder and the Tseitin
+// CNF encoder.  Word operations are validated against native integer
+// arithmetic on random operands.
 #include <gtest/gtest.h>
 
 #include "circuit/circuit.hpp"
-#include "circuit/to_bdd.hpp"
 #include "circuit/tseitin.hpp"
 #include "sat/solver.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace fannet::circuit {
@@ -187,35 +187,6 @@ TEST(Tseitin, RangeConstraintEnumerable) {
   }
   std::sort(values.begin(), values.end());
   EXPECT_EQ(values, (std::vector<i64>{-2, -1, 0, 1, 2}));
-}
-
-// ---------------------------------------------------------------------------
-// BDD lowering: circuit and BDD must compute the same function.
-// ---------------------------------------------------------------------------
-TEST(ToBdd, MatchesCircuitEval) {
-  Circuit c;
-  const Word a = c.add_input_word(4);
-  const Word b = c.add_input_word(4);
-  const CLit f = c.less_signed(c.add(a, b), Circuit::word_const(3, 4));
-
-  bdd::Manager m(8);
-  std::vector<bdd::Bdd> inputs;
-  for (unsigned v = 0; v < 8; ++v) inputs.push_back(m.var(v));
-  BddConverter conv(c, m, inputs);
-  const bdd::Bdd fb = conv.convert(f);
-
-  for (unsigned assignment = 0; assignment < 256; ++assignment) {
-    std::vector<bool> env(8);
-    for (unsigned bit = 0; bit < 8; ++bit) env[bit] = (assignment >> bit) & 1;
-    EXPECT_EQ(m.eval(fb, env), c.eval(f, env)) << assignment;
-  }
-}
-
-TEST(ToBdd, InputCountMismatchThrows) {
-  Circuit c;
-  (void)c.add_input();
-  bdd::Manager m(2);
-  EXPECT_THROW(BddConverter(c, m, {}), InvalidArgument);
 }
 
 }  // namespace

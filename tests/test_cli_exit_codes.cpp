@@ -78,6 +78,10 @@ TEST_F(CliExitCodes, DocumentedTableCoversExactlyCodesZeroThroughFour) {
 TEST_F(CliExitCodes, ZeroOnSuccess) {
   EXPECT_EQ(run_cli("engines --json-dir " + dir()), 0);
   EXPECT_EQ(run_cli("--help"), 0);
+  // A deadline past what the clock can represent never expires.
+  EXPECT_EQ(run_cli("tolerance --small --threads 2 --deadline-ms "
+                    "18446744073709551615 --json-dir " + dir()),
+            0);
 }
 
 TEST_F(CliExitCodes, OneOnRuntimeFailure) {
@@ -96,6 +100,10 @@ TEST_F(CliExitCodes, TwoOnUsageError) {
   EXPECT_EQ(run_cli("tolerance --threads"), 2);       // flag without value
   EXPECT_EQ(run_cli("tolerance --threads hello"), 2); // non-numeric value
   EXPECT_EQ(run_cli(""), 2);                          // missing command
+  // A sign on an unsigned flag, or a value past the flag's type.
+  EXPECT_EQ(run_cli("tolerance --small --threads 2 --deadline-ms -1"), 2);
+  EXPECT_EQ(run_cli("tolerance --small --threads 2 --start-range 4294967297"),
+            2);
 }
 
 TEST_F(CliExitCodes, ThreeWhenSweepShardsStayPending) {

@@ -146,7 +146,8 @@ TEST_P(AllEngines, SameVerdictOnP2) {
               truth);
     EXPECT_EQ(fannet.check_sample(x, label, range, Engine::kExplicitMc).verdict,
               truth);
-    EXPECT_EQ(fannet.check_sample(x, label, range, Engine::kBmc).verdict, truth)
+    EXPECT_EQ(fannet.check_sample(x, label, range, Engine{"sat"}).verdict,
+              truth)
         << "seed=" << seed << " trial=" << trial << " range=" << range;
   }
 }
@@ -160,7 +161,7 @@ TEST(Engines, CounterexamplesAreValidWitnesses) {
   const int wrong = 1 - net.classify_noised(x, {});
   for (const Engine& engine : {Engine::kEnumerate, Engine::kBnB,
                                Engine::kCascade, Engine::kExplicitMc,
-                               Engine::kBmc}) {
+                               Engine{"sat"}}) {
     const auto r = fannet.check_sample(x, wrong, 2, engine);
     ASSERT_EQ(r.verdict, Verdict::kVulnerable) << to_string(engine);
     ASSERT_TRUE(r.counterexample.has_value());

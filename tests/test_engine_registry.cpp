@@ -1,20 +1,26 @@
 // Engine registry + cascade portfolio tests.  The central property: EVERY
 // registered engine — including the cascade and the SMV-translation MC
-// adapters — must be consistent with the enumeration oracle on randomized
-// small networks and boxes:
-//   - complete engines reproduce the oracle verdict exactly,
-//   - sound-only engines may answer kUnknown but a kRobust certificate
-//     implies the oracle found nothing,
+// adapters — must be consistent with an oracle that runs no engine task
+// (the scalar enumeration walk, the sound screens' free functions) on
+// randomized small networks and boxes:
+//   - complete engines reproduce the oracle verdict exactly; enumerate
+//     returns the walk's first counterexample and visited count, bnb /
+//     cascade / sat its lexicographically lowest counterexample,
+//   - sound-only engines answer exactly what their free function does,
+//     and a kRobust certificate implies the oracle found nothing,
 //   - every returned witness actually flips the sample.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "nn/network.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "verify/engine.hpp"
 #include "verify/enumerate.hpp"
+#include "verify/interval.hpp"
+#include "verify/symbolic.hpp"
 
 namespace fannet::verify {
 namespace {
@@ -41,12 +47,14 @@ nn::QuantizedNetwork random_qnet(std::uint64_t seed, std::size_t inputs = 2,
 TEST(EngineRegistry, SeedsEveryBuiltinStrategy) {
   const std::vector<std::string> names = registry().names();
   for (const char* expected :
-       {"bmc", "bnb", "cascade", "enumerate", "explicit-mc", "interval",
-        "sat", "symbolic"}) {
+       {"bnb", "cascade", "enumerate", "explicit-mc", "interval", "sat",
+        "symbolic"}) {
     EXPECT_TRUE(registry().contains(expected)) << expected;
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end());
     EXPECT_EQ(registry().get(expected).name(), expected);
   }
+  EXPECT_EQ(names.size(), 7u);
+  EXPECT_FALSE(registry().contains("bmc"));
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 
   // Completeness flags drive the cascade's fallback logic.
@@ -98,16 +106,49 @@ TEST_P(RegistryAgreement, AllEnginesConsistentWithEnumerationOracle) {
     const bool bias = rng.bernoulli(0.25);
     const Query q = make_query(net, x, label, range, bias);
 
-    const VerifyResult truth = enumerate_find_first(q);
+    // The scalar walk: its first counterexample in odometer order (with
+    // the visited count), and its lexicographically lowest full noise
+    // vector.
+    VerifyResult first;
+    first.verdict = Verdict::kRobust;
+    first.work = enumerate_stream(q, [&](const Counterexample& cex) {
+      first.verdict = Verdict::kVulnerable;
+      first.counterexample = cex;
+      return false;
+    });
+    std::optional<Counterexample> lowest;
+    std::vector<int> lowest_full;
+    (void)enumerate_stream(q, [&](const Counterexample& cex) {
+      std::vector<int> full = cex.deltas;
+      if (bias) full.push_back(cex.bias_delta);
+      if (!lowest.has_value() || full < lowest_full) {
+        lowest = cex;
+        lowest_full = std::move(full);
+      }
+      return true;
+    });
+
     for (const std::string& name : registry().names()) {
       const Engine& e = engine(name);
       const VerifyResult r = e.verify(q);
+      const std::string where =
+          name + " seed=" + std::to_string(seed) + " trial=" +
+          std::to_string(trial);
       if (e.complete()) {
-        EXPECT_EQ(r.verdict, truth.verdict)
-            << name << " seed=" << seed << " trial=" << trial;
+        EXPECT_EQ(r.verdict, first.verdict) << where;
       } else if (r.verdict == Verdict::kRobust) {
-        EXPECT_EQ(truth.verdict, Verdict::kRobust)
-            << name << " unsound! seed=" << seed << " trial=" << trial;
+        EXPECT_EQ(first.verdict, Verdict::kRobust) << "unsound! " << where;
+      }
+      if (name == "enumerate") {
+        EXPECT_EQ(r.counterexample, first.counterexample) << where;
+        EXPECT_EQ(r.work, first.work) << where;
+      } else if (name == "bnb" || name == "cascade" || name == "sat") {
+        EXPECT_EQ(r.counterexample, lowest) << where;
+      } else if (name == "interval" || name == "symbolic") {
+        const VerifyResult direct =
+            name == "interval" ? interval_verify(q) : symbolic_verify(q);
+        EXPECT_EQ(r.verdict, direct.verdict) << where;
+        EXPECT_EQ(r.work, direct.work) << where;
       }
       if (r.verdict == Verdict::kVulnerable) {
         ASSERT_TRUE(r.counterexample.has_value()) << name;

@@ -10,8 +10,6 @@
 #include "core/casestudy.hpp"
 #include "core/fannet.hpp"
 #include "core/translate.hpp"
-#include "mc/bddmc.hpp"
-#include "mc/bmc.hpp"
 #include "mc/explicit.hpp"
 #include "verify/enumerate.hpp"
 #include "smv/parser.hpp"
@@ -77,10 +75,10 @@ TEST(Integration, FourEnginesAgreeOnRealSamples) {
     for (const int range : {1, 2}) {
       const auto truth = fannet.check_sample(cs.test_x.row(s), cs.test_y[s],
                                              range, Engine::kEnumerate);
-      // BMC bit-blasts the whole 5-20-2 net per query; keep it to range 1
+      // sat bit-blasts the whole 5-20-2 net per query; keep it to range 1
       // so the suite stays fast (the per-engine tests cover it broadly).
       std::vector<Engine> engines{Engine::kBnB, Engine::kExplicitMc};
-      if (range == 1) engines.push_back(Engine::kBmc);
+      if (range == 1) engines.push_back(Engine{"sat"});
       for (const Engine& e : engines) {
         const auto r =
             fannet.check_sample(cs.test_x.row(s), cs.test_y[s], range, e);
@@ -109,30 +107,6 @@ TEST(Integration, TranslatedModelRoundTripsThroughText) {
   const mc::ExplicitChecker c2(back);
   EXPECT_EQ(c1.check_spec(t.module.specs().front()).holds,
             c2.check_spec(back.specs().front()).holds);
-}
-
-TEST(Integration, BddEngineHandlesTranslatedTinyNet) {
-  // The BDD engine is the paper's "PSPACE" foil: it works on small widths.
-  // Use a 2-input thin net so the bit-blasted model stays tractable.
-  const nn::Network net = nn::Network::random({2, 3, 2}, 33);
-  const nn::QuantizedNetwork qnet = nn::QuantizedNetwork::quantize(net, 100);
-  const std::vector<i64> x{50, 60};
-  const int label = qnet.classify_noised(x, {});
-
-  verify::Query q;
-  q.net = &qnet;
-  q.x = x;
-  q.true_label = label;
-  q.box = verify::NoiseBox::symmetric(2, 1);
-
-  const core::Translation t = core::translate_sample(q);
-  mc::BddOptions options;
-  options.max_nodes = 5'000'000;
-  const mc::BddChecker bdd(t.module, options);
-  const mc::ExplicitChecker expl(t.module);
-  const auto spec = t.module.specs().front();
-  EXPECT_EQ(bdd.check_invariant(spec.expr).holds,
-            expl.check_spec(spec).holds);
 }
 
 TEST(Integration, CorpusDrivesBiasAndSensitivity) {

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -352,6 +353,22 @@ TEST(ServeDeadline, ExpiresPerRequestWithoutPoisoningTheConnection) {
       client.call(harness::verify_request(2, x, label, 5, "cascade"));
   ASSERT_EQ(next.final_type(), "result");
   EXPECT_FALSE(field(field(*next.final, "body"), "resource_limited").as_bool());
+}
+
+TEST(ServeDeadline, DeadlinePastTheClockRangeDecidesNormally) {
+  // INT64_MAX ms lies past what the steady clock can represent: it must
+  // never pass, not overflow into an already-expired deadline.
+  TestServer server;
+  ServeClient client(server.port());
+  const ServeClient::Reply reply = client.call(harness::verify_request(
+      1, harness::good_sample_x(), harness::good_sample_label(), 5, "cascade",
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())));
+  ASSERT_EQ(reply.final_type(), "result");
+  const Json& body = field(*reply.final, "body");
+  EXPECT_NE(field(body, "verdict").as_string(), "unknown");
+  EXPECT_FALSE(field(body, "resource_limited").as_bool());
+  EXPECT_FALSE(field(body, "deadline_expired").as_bool());
+  EXPECT_EQ(server.stats().deadline_expired, 0u);
 }
 
 TEST(ServeErrors, StructuredErrorsKeepTheConnectionUsable) {

@@ -1,6 +1,7 @@
 // Resumable engine-task tests (DESIGN.md §12): lifecycle of the
-// kUninitialized → kRunning ⇄ kPaused → kDone state machine, bit-identity
-// of stepped vs blocking execution for every native task, pause / resume /
+// kUninitialized → kRunning ⇄ kPaused → kDone state machine, every task's
+// results at any step size and pause pattern against an oracle that runs
+// no task (the scalar enumeration walk, interval_verify), pause / resume /
 // cancel / deadline semantics, the scheduler's BatchControl drive loop,
 // and the cache rule that resource-limited verdicts are never memoized.
 // The TaskRace tests exercise concurrent pause-vs-step-vs-cancel and run
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <string_view>
 #include <thread>
 
@@ -22,6 +24,8 @@
 #include "verify/bnb.hpp"
 #include "verify/budget.hpp"
 #include "verify/engine.hpp"
+#include "verify/enumerate.hpp"
+#include "verify/interval.hpp"
 #include "verify/query_cache.hpp"
 #include "verify/scheduler.hpp"
 #include "verify/task.hpp"
@@ -55,6 +59,39 @@ Query make_q(std::uint64_t seed, int range, bool force_vulnerable) {
 /// correct label keeps the walk exhaustive (no early witness exit).
 Query big_robust_query(std::uint64_t seed) { return make_q(seed, 50, false); }
 
+constexpr std::uint64_t kUnbounded = std::numeric_limits<std::uint64_t>::max();
+
+/// What engine `name` must answer on `q`, from code that runs no task:
+/// interval_verify for interval; otherwise the scalar enumerate_stream
+/// walk — its first counterexample in odometer order and its visited count
+/// for enumerate, the lexicographically lowest full noise vector (input
+/// deltas, then the bias delta) for bnb, cascade and sat.  `work` is only
+/// meaningful for enumerate and interval.
+VerifyResult oracle(std::string_view name, const Query& q) {
+  if (name == "interval") return interval_verify(q);
+  VerifyResult first;
+  first.verdict = Verdict::kRobust;
+  first.work = enumerate_stream(q, [&](const Counterexample& cex) {
+    first.verdict = Verdict::kVulnerable;
+    first.counterexample = cex;
+    return false;
+  });
+  if (name == "enumerate") return first;
+  VerifyResult lowest;
+  lowest.verdict = first.verdict;
+  std::optional<std::vector<int>> best;
+  (void)enumerate_stream(q, [&](const Counterexample& cex) {
+    std::vector<int> full = cex.deltas;
+    if (q.bias_node) full.push_back(cex.bias_delta);
+    if (!best.has_value() || full < *best) {
+      best = std::move(full);
+      lowest.counterexample = cex;
+    }
+    return true;
+  });
+  return lowest;
+}
+
 /// Stepped-to-completion result for an engine's task.
 VerifyResult drive(const Engine& eng, const Query& q,
                    const VerifyContext& ctx, std::uint64_t step_work) {
@@ -73,7 +110,7 @@ TEST(Task, LifecycleRunsToDoneAndResultIsFinal) {
   EXPECT_THROW((void)task->result(), Error);  // not done yet
   ASSERT_EQ(task->run(64), TaskState::kDone);
   const VerifyResult r = task->result();
-  EXPECT_EQ(r.verdict, eng.verify(q).verdict);
+  EXPECT_EQ(r.verdict, oracle("enumerate", q).verdict);
   // Stepping a finished task is a no-op.
   EXPECT_EQ(task->step(), TaskState::kDone);
   EXPECT_EQ(task->result().verdict, r.verdict);
@@ -88,15 +125,15 @@ TEST(Task, PauseParksBeforeWorkAndResumeContinues) {
   EXPECT_EQ(task->step(), TaskState::kPaused);  // parked, no progress
   task->resume();
   ASSERT_EQ(task->run(), TaskState::kDone);
-  EXPECT_EQ(task->result().verdict, eng.verify(q).verdict);
+  EXPECT_EQ(task->result().verdict, oracle("bnb", q).verdict);
 }
 
 TEST(Task, StepSizeNeverChangesVerdictOrWitness) {
-  // The determinism contract: any step quota (including the minimal one)
-  // yields the bit-identical verdict and witness of the blocking path,
-  // for every native task and the generic adapter.  A serial bnb search
-  // keeps its worker state across steps and visits the same boxes in the
-  // same order, so for bnb and the cascade `work` is step-size-free too.
+  // The determinism contract: any step quota (including the minimal one
+  // and the unbounded one) yields the oracle's verdict and witness, for
+  // every native task and the one-shot task.  A serial bnb search keeps
+  // its worker state across steps and visits the same boxes in the same
+  // order, so for bnb and the cascade `work` is step-size-free too.
   for (const char* name : {"enumerate", "bnb", "cascade", "sat", "interval"}) {
     const Engine& eng = engine(name);
     const bool exact_work = name == std::string_view("bnb") ||
@@ -104,16 +141,22 @@ TEST(Task, StepSizeNeverChangesVerdictOrWitness) {
     std::vector<Query> queries = {make_q(21, 2, true), make_q(22, 2, false)};
     if (exact_work) queries.push_back(make_q(46, 40, false));  // ~380 boxes
     for (const Query& q : queries) {
-      const VerifyResult blocking = eng.verify(q);
-      for (const std::uint64_t step_work : {1ull, 7ull, 1024ull}) {
+      const VerifyResult expected = oracle(name, q);
+      std::optional<std::uint64_t> work;
+      for (const std::uint64_t step_work :
+           {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{1024},
+            kUnbounded}) {
         const VerifyResult stepped = drive(eng, q, {}, step_work);
-        EXPECT_EQ(stepped.verdict, blocking.verdict)
+        EXPECT_EQ(stepped.verdict, expected.verdict)
             << name << " step " << step_work;
-        EXPECT_EQ(stepped.counterexample, blocking.counterexample)
+        EXPECT_EQ(stepped.counterexample, expected.counterexample)
             << name << " step " << step_work;
+        if (name == std::string_view("enumerate")) {
+          EXPECT_EQ(stepped.work, expected.work) << "step " << step_work;
+        }
         if (exact_work) {
-          EXPECT_EQ(stepped.work, blocking.work)
-              << name << " step " << step_work;
+          if (!work.has_value()) work = stepped.work;
+          EXPECT_EQ(stepped.work, *work) << name << " step " << step_work;
         }
       }
     }
@@ -126,21 +169,31 @@ TEST(Task, UnboundedQuotaFinishesInOneStep) {
   for (const char* name : {"enumerate", "bnb"}) {
     const Engine& eng = engine(name);
     const Query q = big_robust_query(12);
-    const VerifyResult blocking = eng.verify(q);
+    const VerifyResult stepped =
+        drive(eng, q, {}, EngineTask::kDefaultStepWork);
     const auto task = eng.make_task(q, {});
-    EXPECT_EQ(task->step(std::numeric_limits<std::uint64_t>::max()),
-              TaskState::kDone)
-        << name;
-    EXPECT_EQ(task->result().verdict, blocking.verdict) << name;
-    EXPECT_EQ(task->result().work, blocking.work) << name;
+    EXPECT_EQ(task->step(kUnbounded), TaskState::kDone) << name;
+    EXPECT_EQ(task->result().verdict, stepped.verdict) << name;
+    EXPECT_EQ(task->result().work, stepped.work) << name;
   }
+  // sat: once the decision solve has had a conflict, a wrapped conflict
+  // cap would stall every later witness-minimization probe.
+  const Engine& sat = engine("sat");
+  const Query q = make_q(2, 30, false);
+  const VerifyResult stepped = drive(sat, q, {}, EngineTask::kDefaultStepWork);
+  ASSERT_EQ(stepped.verdict, Verdict::kVulnerable);
+  EXPECT_EQ(stepped.counterexample, oracle("sat", q).counterexample);
+  const auto task = sat.make_task(q, {});
+  EXPECT_EQ(task->step(kUnbounded), TaskState::kDone);
+  EXPECT_EQ(task->result().verdict, stepped.verdict);
+  EXPECT_EQ(task->result().counterexample, stepped.counterexample);
 }
 
 TEST(Task, PauseResumeAtArbitraryBoundariesIsBitIdentical) {
   for (const char* name : {"enumerate", "bnb", "cascade", "sat"}) {
     const Engine& eng = engine(name);
     const Query q = make_q(33, 3, true);
-    const VerifyResult blocking = eng.verify(q);
+    const VerifyResult expected = oracle(name, q);
     const auto task = eng.make_task(q, {});
     std::uint64_t steps = 0;
     for (;;) {
@@ -152,8 +205,8 @@ TEST(Task, PauseResumeAtArbitraryBoundariesIsBitIdentical) {
       ++steps;
       if (task->step(64) == TaskState::kDone) break;
     }
-    EXPECT_EQ(task->result().verdict, blocking.verdict) << name;
-    EXPECT_EQ(task->result().counterexample, blocking.counterexample) << name;
+    EXPECT_EQ(task->result().verdict, expected.verdict) << name;
+    EXPECT_EQ(task->result().counterexample, expected.counterexample) << name;
   }
 }
 
@@ -190,12 +243,31 @@ TEST(Task, CancelTokenInBudgetInterruptsTheTask) {
   EXPECT_TRUE(r.resource_limited);
 }
 
+TEST(Budget, DeadlinesPastTheClockRangeNeverPass) {
+  // From ~9.3e12 ms (292 years) on, steady_clock's nanosecond count cannot
+  // hold now + ms: after_ms must clamp, not overflow into the past.
+  for (const std::uint64_t ms :
+       {std::uint64_t{1000}, std::uint64_t{9'000'000'000'000},
+        std::uint64_t{10'000'000'000'000},
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()),
+        kUnbounded}) {
+    Budget budget;
+    budget.deadline = Budget::after_ms(ms);
+    EXPECT_FALSE(budget.deadline_passed()) << ms;
+    EXPECT_FALSE(budget.interrupted()) << ms;
+  }
+  Budget expired;
+  expired.deadline = Budget::after_ms(0);
+  EXPECT_TRUE(expired.deadline_passed());
+}
+
 TEST(Task, GenericAdapterHonoursPreStepInterruptionAndMatchesBlocking) {
-  // Sound-only engines without a native task get the one-step adapter: a
-  // normal run equals verify_with; a pre-cancelled budget never dispatches.
+  // Sound-only engines without a native task run a one-shot task: a
+  // normal run equals the free function; a pre-cancelled budget never
+  // calls it.
   const Engine& eng = engine("interval");
   const Query q = make_q(10, 2, false);
-  EXPECT_EQ(drive(eng, q, {}, 0).verdict, eng.verify(q).verdict);
+  EXPECT_EQ(drive(eng, q, {}, 0).verdict, interval_verify(q).verdict);
   CancelToken token;
   token.cancel();
   VerifyContext ctx;

@@ -10,6 +10,8 @@
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 sweep shards
 // pending, 4 deadline expired on at least one query.
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -121,18 +123,28 @@ exit codes: 0 success (sweep: campaign complete), 1 runtime failure,
   std::exit(2);
 }
 
+/// Digits only: strtoull alone would accept a sign (and wrap "-1" to
+/// 2^64 - 1) or leading blanks.  Out-of-range values are rejected too.
 bool parse_size(const char* text, std::size_t& out) {
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0) return false;
+  errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+  if (*end != '\0' || errno == ERANGE || v != static_cast<std::size_t>(v)) {
+    return false;
+  }
   out = static_cast<std::size_t>(v);
   return true;
 }
 
 bool parse_int(const char* text, int& out) {
+  errno = 0;
   char* end = nullptr;
   const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      v != static_cast<int>(v)) {
+    return false;
+  }
   out = static_cast<int>(v);
   return true;
 }
@@ -284,13 +296,14 @@ int run_command(const Options& opts, util::BenchJson& json) {
     // Capability columns mirror verify::EngineCaps: verdict class, whether
     // VerifyContext::budget resource caps are honoured, whether a deadline /
     // cancellation interrupts mid-flight, and whether the engine has a
-    // native incremental task (vs the generic one-shot adapter).
+    // native incremental task (vs a one-shot task over its decision
+    // function).
     core::TextTable t({"engine", "verdicts", "budget", "deadline", "task"});
     for (const std::string& name : verify::registry().names()) {
       const verify::EngineCaps caps = verify::engine(name).caps();
       t.add_row({name, caps.complete ? "complete" : "sound-only",
                  caps.budget ? "yes" : "no", caps.deadline ? "yes" : "no",
-                 caps.native_task ? "native" : "generic"});
+                 caps.native_task ? "native" : "one-shot"});
     }
     std::fputs(t.to_string().c_str(), stdout);
     return 0;

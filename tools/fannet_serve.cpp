@@ -10,6 +10,8 @@
 //
 // Exit codes: 0 clean shutdown (drain completed), 1 runtime failure,
 // 2 usage error.
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -75,10 +77,14 @@ exit codes: 0 clean shutdown, 1 runtime failure, 2 usage error
   std::exit(2);
 }
 
+/// Digits only: strtoull alone would accept a sign (and wrap "-1" to
+/// 2^64 - 1) or leading blanks.  Out-of-range values are rejected too.
 std::uint64_t parse_u64(const char* flag, const char* value) {
+  errno = 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+  if (std::isdigit(static_cast<unsigned char>(value[0])) == 0 ||
+      *end != '\0' || errno == ERANGE) {
     usage_error(std::string(flag) + " needs a non-negative integer");
   }
   return static_cast<std::uint64_t>(v);
