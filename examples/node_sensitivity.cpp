@@ -24,8 +24,9 @@ int main() {
 
   // Pure Eq.-3 analysis: empty corpus (histogram columns will be zero).
   // The directional/solo probes are sound decisions by the cascade
-  // portfolio engine, fanned out over every core; the directional
-  // existence batches cancel as soon as a witness is found.
+  // portfolio engine, each one unit of the analysis's sweep campaign,
+  // fanned out over every core; a directional probe stops at the first
+  // sample that has a witness.
   core::SensitivityConfig probes;
   probes.engine = core::Engine::kCascade;
   probes.threads = 0;  // one worker per hardware thread

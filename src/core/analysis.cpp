@@ -66,11 +66,10 @@ BiasReport analyze_bias(const std::vector<CorpusEntry>& corpus,
 
 namespace {
 
-/// Directional existence probe shared by the batch path and the sweep
-/// campaign: is there ANY counterexample with delta at `node` strictly of
-/// `sign` while the other nodes roam ±range?  Decided as one cancellable
-/// existence batch over the correct samples (run_until_witness), so the
-/// answer is identical for every thread count.
+/// Directional existence probe: is there ANY counterexample with delta at
+/// `node` strictly of `sign` while the other nodes roam ±range?  The
+/// correct samples are probed in order and the first vulnerable one
+/// decides, so the answer is a pure function of the campaign.
 bool directional_possible(const Fannet& fannet,
                           const verify::Scheduler& scheduler,
                           const verify::Engine& engine,
@@ -82,15 +81,18 @@ bool directional_possible(const Fannet& fannet,
   NoiseBox box = NoiseBox::symmetric(n, range);
   if (sign > 0) box.lo[node] = 1; else box.hi[node] = -1;
   if (box.lo[node] > box.hi[node]) return false;  // range 0: no strict direction
-  std::vector<verify::Query> batch;
-  batch.reserve(correct.size());
   for (const std::size_t s : correct) {
-    batch.push_back(fannet.make_query(inputs.row(s), labels[s], box, false));
+    if (scheduler
+            .verify_one(fannet.make_query(inputs.row(s), labels[s], box, false),
+                        engine)
+            .verdict == Verdict::kVulnerable) {
+      return true;
+    }
   }
-  return scheduler.run_until_witness(batch, engine).has_value();
+  return false;
 }
 
-/// Eq.-3 probe shared by both paths: the minimal |delta_node| that flips
+/// Eq.-3 solo probe: the minimal |delta_node| that flips
 /// `row` when ONLY that node is noised, found by one existence query at the
 /// full range plus a bisection; nullopt when the node never flips it.
 std::optional<int> solo_flip(const Fannet& fannet,
@@ -125,11 +127,10 @@ std::optional<int> solo_flip(const Fannet& fannet,
   return lo;
 }
 
-/// Sweep decomposition of analyze_sensitivity's probe fan-out (DESIGN.md
-/// §9).  Unit order: the 2n directional probes first (unit 2i = node i
-/// positive, 2i+1 = node i negative), then the n*|correct| Eq.-3 solo
-/// bisections in the batch path's task order (task % n = node, task / n =
-/// position in `correct`).  Unit rows:
+/// Sweep decomposition of analyze_sensitivity's probes (DESIGN.md §9).
+/// Unit order: the 2n directional probes first (unit 2i = node i positive,
+/// 2i+1 = node i negative), then the n*|correct| Eq.-3 solo bisections
+/// (task % n = node, task / n = position in `correct`).  Unit rows:
 ///
 ///   directional: [unit, possible(0/1)]
 ///   solo:        [unit, min_flip or -1]
@@ -139,7 +140,8 @@ class SensitivityCampaign final : public verify::SweepCampaign {
                       const std::vector<int>& labels, int range,
                       const SensitivityConfig& config,
                       std::vector<std::size_t> correct,
-                      NodeSensitivityReport& report)
+                      NodeSensitivityReport& report,
+                      const verify::SchedulerOptions& dispatch)
       : fannet_(fannet),
         inputs_(inputs),
         labels_(labels),
@@ -148,9 +150,12 @@ class SensitivityCampaign final : public verify::SweepCampaign {
         correct_(std::move(correct)),
         report_(report),
         engine_(verify::engine(config.engine.name)),
-        scheduler_({.threads = 1,
-                    .intra_query_threads = config.intra_query_threads,
-                    .batch_hint = config.batch}) {}
+        scheduler_(dispatch) {}
+
+  /// Probes cut by the dispatch deadline across every shard run so far.
+  [[nodiscard]] std::uint64_t deadline_expired() const noexcept {
+    return scheduler_.deadline_expired_total();
+  }
 
   [[nodiscard]] std::string_view name() const override {
     return "sensitivity";
@@ -240,6 +245,15 @@ NodeSensitivityReport analyze_sensitivity(
     const std::vector<int>& labels, int range,
     const std::vector<CorpusEntry>& corpus,
     const SensitivityConfig& config) {
+  verify::SweepOptions options = config.sweep;
+  if (options.threads == 0) options.threads = config.threads;
+  if (config.deadline_ms != 0 && !options.journal_path.empty()) {
+    // Journaled shard rows must be time-independent to be resumable; see
+    // analyze_tolerance for the same restriction.
+    throw InvalidArgument(
+        "analyze_sensitivity: deadline_ms cannot be combined with a sweep "
+        "journal");
+  }
   const std::size_t n = inputs.cols();
   NodeSensitivityReport report;
   report.positive.assign(n, 0);
@@ -267,64 +281,27 @@ NodeSensitivityReport analyze_sensitivity(
   }
 
   // Sound directional existence + Eq.-3 per-node tolerance, over the
-  // correctly classified samples.  Both probe families are embarrassingly
-  // parallel and go through the scheduler.
+  // correctly classified samples: every probe is one campaign unit.  A
+  // campaign with fewer units than workers hands the idle ones to each
+  // engine dispatch.
   const std::vector<std::size_t> bad = fannet.validate_p1(inputs, labels);
   std::vector<std::size_t> correct;
   for (std::size_t s = 0; s < inputs.rows(); ++s) {
     if (std::find(bad.begin(), bad.end(), s) == bad.end()) correct.push_back(s);
   }
-  if (config.sweep.has_value()) {
-    if (config.deadline_ms != 0) {
-      // Journaled shard rows must be time-independent to be resumable;
-      // see analyze_tolerance for the same restriction.
-      throw InvalidArgument(
-          "analyze_sensitivity: deadline_ms cannot be combined with sweep");
-    }
-    // Resumable sharded path (DESIGN.md §9): the same directional and solo
-    // probes as journaled sweep units; bit-identical to the batch path.
-    SensitivityCampaign campaign(fannet, inputs, labels, range, config,
-                                 std::move(correct), report);
-    verify::SweepOptions options = *config.sweep;
-    if (options.threads == 0) options.threads = config.threads;
-    report.sweep = verify::SweepRunner(options).run(campaign);
-    return report;
-  }
-
-  const verify::Engine& engine = verify::engine(config.engine.name);
-  const verify::Scheduler scheduler(
-      {.threads = config.threads,
-       .intra_query_threads = config.intra_query_threads,
+  const std::size_t units = 2 * n + n * correct.size();
+  SensitivityCampaign campaign(
+      fannet, inputs, labels, range, config, std::move(correct), report,
+      {.threads = 1,
+       .intra_query_threads =
+           verify::Scheduler(
+               {.threads = options.threads,
+                .intra_query_threads = config.intra_query_threads})
+               .intra_grant(units),
        .batch_hint = config.batch,
        .deadline_ms = config.deadline_ms});
-
-  // Directional: delta_i restricted to one sign, others full range.  Per
-  // node and sign this is an existence query over the samples — decided as
-  // one batch with cancellation on the first witness.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const int sign : {+1, -1}) {
-      (sign > 0 ? report.positive_possible : report.negative_possible)[i] =
-          directional_possible(fannet, scheduler, engine, inputs, labels,
-                               correct, i, sign, range);
-    }
-  }
-
-  // Eq. 3: only node i noised.  Every (node, sample) pair bisects to its
-  // minimal flipping |delta_i| independently; the per-node tolerance is
-  // the minimum over samples (indexed slots keep the reduce deterministic).
-  std::vector<std::optional<int>> pair_flip(n * correct.size());
-  scheduler.parallel_for(pair_flip.size(), [&](std::size_t task) {
-    const std::size_t i = task % n;
-    const std::size_t s = correct[task / n];
-    pair_flip[task] = solo_flip(fannet, scheduler, engine, inputs.row(s),
-                                labels[s], i, n, range);
-  });
-  for (std::size_t task = 0; task < pair_flip.size(); ++task) {
-    if (!pair_flip[task].has_value()) continue;
-    std::optional<int>& best = report.solo_flip_range[task % n];
-    if (!best.has_value() || *pair_flip[task] < *best) best = pair_flip[task];
-  }
-  report.deadline_expired = scheduler.deadline_expired_total();
+  report.sweep = verify::SweepRunner(options).run(campaign);
+  report.deadline_expired = campaign.deadline_expired();
   return report;
 }
 

@@ -53,10 +53,9 @@ struct NodeSensitivityReport {
   /// the node never causes a flip up to the probed range.
   std::vector<std::optional<int>> solo_flip_range;
 
-  /// Sweep accounting when SensitivityConfig::sweep was engaged (default
-  /// otherwise: complete() is true).  The corpus histograms above are
-  /// always recomputed in full; the probe results are partial until the
-  /// campaign completes.
+  /// What the probe campaign's SweepRunner invocation did.  The corpus
+  /// histograms above are always recomputed in full; the probe results are
+  /// partial until the campaign completes.
   verify::SweepProgress sweep = {};
 
   /// Probes cut short by SensitivityConfig::deadline_ms (0 when no
@@ -69,12 +68,14 @@ struct SensitivityConfig {
   /// Engine deciding the directional/solo probes (complete engines only —
   /// the probes are sound existence decisions, not samples).
   Engine engine = Engine::kCascade;
-  /// Worker threads for the probe fan-out (0 = hardware concurrency).  The
-  /// directional probes per node run as one cancellable existence batch
-  /// each; the per-(node, sample) solo bisections fan out independently.
+  /// Worker threads for the probe campaign's shard fan-out when
+  /// `sweep.threads` is 0 (0 = hardware concurrency).  Each directional
+  /// probe (per node and sign) and each per-(node, sample) solo bisection
+  /// is one campaign unit.
   std::size_t threads = 0;
   /// Intra-query worker budget per engine dispatch (see
-  /// verify::SchedulerOptions::intra_query_threads).
+  /// verify::SchedulerOptions::intra_query_threads): 0 = the leftover
+  /// threads when the campaign has fewer units than workers.
   std::size_t intra_query_threads = 0;
   /// SoA evaluation lanes per engine dispatch (DESIGN.md §10, forwarded as
   /// verify::SchedulerOptions::batch_hint): 0 = auto
@@ -85,15 +86,15 @@ struct SensitivityConfig {
   /// as verify::SchedulerOptions::deadline_ms.  Expired probes resolve
   /// kUnknown — "direction not shown possible" / "no solo flip found" —
   /// and are counted in NodeSensitivityReport::deadline_expired.
-  /// Incompatible with `sweep` (journaled shard rows must be
-  /// time-independent to be resumable) — rejected with InvalidArgument.
+  /// Incompatible with a `sweep.journal_path` (journaled shard rows must
+  /// be time-independent to be resumable) — rejected with InvalidArgument.
   std::uint64_t deadline_ms = 0;
-  /// Opt-in resumable sharded execution of the probe fan-out (DESIGN.md
-  /// §9): directional and Eq.-3 solo probes become journaled sweep units;
-  /// an interrupted campaign resumes instead of restarting.  Reports are
-  /// bit-identical to the in-process path.  `sweep->threads` of 0 inherits
-  /// `threads` above.
-  std::optional<verify::SweepOptions> sweep = std::nullopt;
+  /// How the probe campaign runs through verify::SweepRunner (DESIGN.md
+  /// §9).  The default runs it in memory; a `journal_path` journals the
+  /// directional and Eq.-3 solo probes so an interrupted campaign resumes
+  /// instead of restarting.  Reports are bit-identical either way.
+  /// `sweep.threads` of 0 inherits `threads` above.
+  verify::SweepOptions sweep = {};
 };
 
 [[nodiscard]] NodeSensitivityReport analyze_sensitivity(

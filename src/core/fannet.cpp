@@ -1,7 +1,6 @@
 #include "core/fannet.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/error.hpp"
 #include "verify/bnb.hpp"
@@ -22,11 +21,10 @@ std::string to_string(Engine e) { return e.name; }
 
 namespace {
 
-/// Per-sample range descent shared by the batch path and the sweep
-/// campaign: given the start-range screen result (must be kVulnerable),
-/// finds the minimal flipping range and its witness.  `queries` counts the
-/// descent probes only (the screen is accounted separately, once per
-/// correct sample).
+/// Per-sample range descent: given the start-range screen result (must be
+/// kVulnerable), finds the minimal flipping range and its witness.
+/// `queries` counts the descent probes only (the screen is accounted
+/// separately, once per correct sample).
 struct DescentOutcome {
   std::optional<int> min_flip_range;
   std::optional<Counterexample> witness;
@@ -91,7 +89,8 @@ class ToleranceCampaign final : public verify::SweepCampaign {
   ToleranceCampaign(const Fannet& fannet, const la::Matrix<i64>& inputs,
                     const std::vector<int>& labels,
                     const ToleranceConfig& config,
-                    std::vector<std::size_t> correct, ToleranceReport& report)
+                    std::vector<std::size_t> correct, ToleranceReport& report,
+                    const verify::SchedulerOptions& dispatch)
       : fannet_(fannet),
         inputs_(inputs),
         labels_(labels),
@@ -99,9 +98,12 @@ class ToleranceCampaign final : public verify::SweepCampaign {
         correct_(std::move(correct)),
         report_(report),
         engine_(verify::engine(config.engine.name)),
-        scheduler_({.threads = 1,
-                    .intra_query_threads = config.intra_query_threads,
-                    .batch_hint = config.batch}) {}
+        scheduler_(dispatch) {}
+
+  /// Probes cut by the dispatch deadline across every shard run so far.
+  [[nodiscard]] std::uint64_t deadline_expired() const noexcept {
+    return scheduler_.deadline_expired_total();
+  }
 
   [[nodiscard]] std::string_view name() const override { return "tolerance"; }
 
@@ -133,6 +135,8 @@ class ToleranceCampaign final : public verify::SweepCampaign {
                              config_.bias_node),
           engine_);
       if (at_max.verdict != Verdict::kVulnerable) {
+        // Monotonicity (a counterexample in ±R stays available in every
+        // ±R' > R): a start-range survivor needs no descent.
         rows.push_back({static_cast<std::int64_t>(s), 0, 0});
         continue;
       }
@@ -241,6 +245,16 @@ ToleranceReport Fannet::analyze_tolerance(const la::Matrix<i64>& inputs,
   if (config.start_range < 1) {
     throw InvalidArgument("analyze_tolerance: start_range must be >= 1");
   }
+  verify::SweepOptions options = config.sweep;
+  if (options.threads == 0) options.threads = config.threads;
+  if (config.deadline_ms != 0 && !options.journal_path.empty()) {
+    // A journaled shard row must mean the same thing on every re-run;
+    // deadline-cut rows depend on wall-clock timing and would make a
+    // resumed campaign diverge from an uninterrupted one.
+    throw InvalidArgument(
+        "analyze_tolerance: deadline_ms cannot be combined with a sweep "
+        "journal");
+  }
   ToleranceReport report;
   const std::vector<std::size_t> bad = validate_p1(inputs, labels);
 
@@ -255,65 +269,22 @@ ToleranceReport Fannet::analyze_tolerance(const la::Matrix<i64>& inputs,
     if (st.correct_without_noise) correct.push_back(s);
   }
 
-  if (config.sweep.has_value()) {
-    if (config.deadline_ms != 0) {
-      // A journaled shard row must mean the same thing on every re-run;
-      // deadline-cut rows depend on wall-clock timing and would make a
-      // resumed campaign diverge from an uninterrupted one.
-      throw InvalidArgument(
-          "analyze_tolerance: deadline_ms cannot be combined with sweep");
-    }
-    // Resumable sharded path (DESIGN.md §9): the same screens and descents,
-    // decomposed into per-sample units, journaled and resumable.  The
-    // report is bit-identical to the batch path below.
-    ToleranceCampaign campaign(*this, inputs, labels, config,
-                               std::move(correct), report);
-    verify::SweepOptions options = *config.sweep;
-    if (options.threads == 0) options.threads = config.threads;
-    report.sweep = verify::SweepRunner(options).run(campaign);
-  } else {
-    const verify::Engine& engine = verify::engine(config.engine.name);
-    const verify::Scheduler scheduler(
-        {.threads = config.threads,
-         .intra_query_threads = config.intra_query_threads,
-         .batch_hint = config.batch,
-         .deadline_ms = config.deadline_ms});
-
-    // Phase 1: screen every correct sample at the full start range, batched
-    // through the scheduler.  Monotonicity (a counterexample in ±R stays
-    // available in every ±R' > R) means survivors here need no descent.
-    std::vector<Query> screen;
-    screen.reserve(correct.size());
-    for (const std::size_t s : correct) {
-      const auto row = inputs.row(s);
-      const std::size_t dims = row.size() + (config.bias_node ? 1 : 0);
-      screen.push_back(make_query(row, labels[s],
-                                  NoiseBox::symmetric(dims, config.start_range),
-                                  config.bias_node));
-    }
-    const std::vector<VerifyResult> at_max = scheduler.run_all(screen, engine);
-
-    // Phase 2: per-sample range descent for the vulnerable samples — each
-    // descent is an independent chain of queries, fanned out across workers.
-    std::vector<std::size_t> vulnerable;  // positions into `correct`
-    for (std::size_t i = 0; i < correct.size(); ++i) {
-      if (at_max[i].verdict == Verdict::kVulnerable) vulnerable.push_back(i);
-    }
-    std::atomic<std::uint64_t> descent_queries{0};
-    scheduler.parallel_for(vulnerable.size(), [&](std::size_t vi) {
-      const std::size_t i = vulnerable[vi];
-      const std::size_t s = correct[i];
-      SampleTolerance& st = report.per_sample[s];
-      const DescentOutcome outcome =
-          descend_sample(*this, scheduler, engine, inputs.row(s), labels[s],
-                         config, at_max[i]);
-      st.min_flip_range = outcome.min_flip_range;
-      st.witness = outcome.witness;
-      descent_queries.fetch_add(outcome.queries, std::memory_order_relaxed);
-    });
-    report.queries = correct.size() + descent_queries.load();
-    report.deadline_expired = scheduler.deadline_expired_total();
-  }
+  // One campaign unit per correct sample (DESIGN.md §9), run serially
+  // inside its shard.  A campaign with fewer units than workers hands the
+  // idle ones to each engine dispatch.
+  const std::size_t units = correct.size();
+  ToleranceCampaign campaign(
+      *this, inputs, labels, config, std::move(correct), report,
+      {.threads = 1,
+       .intra_query_threads =
+           verify::Scheduler(
+               {.threads = options.threads,
+                .intra_query_threads = config.intra_query_threads})
+               .intra_grant(units),
+       .batch_hint = config.batch,
+       .deadline_ms = config.deadline_ms});
+  report.sweep = verify::SweepRunner(options).run(campaign);
+  report.deadline_expired = campaign.deadline_expired();
 
   // Tolerance: largest range with no flip among correct samples.
   int tolerance = config.start_range;

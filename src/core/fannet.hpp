@@ -56,12 +56,14 @@ struct ToleranceConfig {
   /// kBinary: bisection on the per-sample minimal flipping range.
   /// kLinear: the paper's iterative noise reduction (same result, slower).
   enum class Descent : std::uint8_t { kBinary, kLinear } descent = Descent::kBinary;
-  /// Worker threads for the per-sample fan-out (0 = hardware concurrency,
-  /// 1 = serial).  Results are identical for every thread count.
+  /// Worker threads for the campaign's shard fan-out when `sweep.threads`
+  /// is 0 (0 = hardware concurrency, 1 = serial).  Results are identical
+  /// for every thread count.
   std::size_t threads = 0;
   /// Intra-query worker budget per engine dispatch (see
-  /// verify::SchedulerOptions::intra_query_threads): 0 = leftover threads
-  /// when the batch is smaller than the worker pool, N = fixed grant.
+  /// verify::SchedulerOptions::intra_query_threads): 0 = the leftover
+  /// threads when the campaign has fewer units than workers, N = fixed
+  /// grant.
   std::size_t intra_query_threads = 0;
   /// SoA evaluation lanes per engine dispatch (DESIGN.md §10, forwarded as
   /// verify::SchedulerOptions::batch_hint): 0 = auto
@@ -73,16 +75,15 @@ struct ToleranceConfig {
   /// kUnknown — treated as "no flip found at that range" — so the reported
   /// tolerance can only err toward the optimistic side; the cut is never
   /// silent: ToleranceReport::deadline_expired counts the expired probes.
-  /// Incompatible with `sweep` (journaled shard rows must be
-  /// time-independent to be resumable) — rejected with InvalidArgument.
+  /// Incompatible with a `sweep.journal_path` (journaled shard rows must
+  /// be time-independent to be resumable) — rejected with InvalidArgument.
   std::uint64_t deadline_ms = 0;
-  /// Opt-in resumable sharded execution (DESIGN.md §9): when engaged, the
-  /// per-sample work runs through verify::SweepRunner — journaled to
-  /// `sweep->journal_path`, resumable after a crash, and chunkable across
-  /// invocations via `sweep->max_shards`.  Disengaged (the default) keeps
-  /// the classic in-process batch path; reports are bit-identical either
-  /// way.  `sweep->threads` of 0 inherits `threads` above.
-  std::optional<verify::SweepOptions> sweep = std::nullopt;
+  /// How the per-sample campaign runs through verify::SweepRunner
+  /// (DESIGN.md §9).  The default runs it in memory; a `journal_path`
+  /// makes it resumable after a crash and chunkable across invocations
+  /// via `max_shards`.  Reports are bit-identical either way.
+  /// `sweep.threads` of 0 inherits `threads` above.
+  verify::SweepOptions sweep = {};
 };
 
 struct SampleTolerance {
@@ -105,10 +106,10 @@ struct ToleranceReport {
   /// was set, or none expired).  Non-zero means `noise_tolerance` is an
   /// optimistic bound: an expired probe counts as "no flip at that range".
   std::uint64_t deadline_expired = 0;
-  /// Sweep accounting when ToleranceConfig::sweep was engaged (default
-  /// otherwise: complete() is true).  When `!sweep.complete()` the report
-  /// covers only the absorbed shards — `noise_tolerance` and `queries` are
-  /// partial aggregates until a later invocation finishes the campaign.
+  /// What the campaign's SweepRunner invocation did.  When
+  /// `!sweep.complete()` the report covers only the absorbed shards —
+  /// `noise_tolerance` and `queries` are partial aggregates until a later
+  /// invocation finishes the campaign.
   verify::SweepProgress sweep = {};
 };
 
@@ -140,9 +141,10 @@ class Fannet {
       const verify::NoiseBox& box, Engine engine,
       bool bias_node = false) const;
 
-  /// Full noise-tolerance analysis over the (test) set.  The start-range
-  /// screen and the per-sample range descents fan out across
-  /// `config.threads` workers; the report is identical to the serial run.
+  /// Full noise-tolerance analysis over the (test) set, run as a sweep
+  /// campaign with one unit per correctly-classified sample (its
+  /// start-range screen plus, when vulnerable, its range descent); the
+  /// report is identical for every thread count and shard size.
   [[nodiscard]] ToleranceReport analyze_tolerance(
       const la::Matrix<util::i64>& inputs, const std::vector<int>& labels,
       const ToleranceConfig& config) const;

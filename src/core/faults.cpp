@@ -1,7 +1,6 @@
 #include "core/faults.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <sstream>
 
@@ -9,7 +8,6 @@
 #include "nn/batch_eval.hpp"
 #include "util/checked.hpp"
 #include "util/error.hpp"
-#include "verify/scheduler.hpp"
 
 namespace fannet::core {
 
@@ -198,12 +196,11 @@ void scan_parameter_batched(const nn::QuantizedNetwork& net,
   }
 }
 
-/// One parameter's candidate scan, shared by the in-process fan-out and
-/// the sweep campaign: fills `fault`'s flip fields (if any candidate flips
-/// a correct sample) and accumulates the cost counters.  `prefix` selects
-/// the incremental engine; null falls back to the naive per-task patched
-/// copy of `net`.  A non-null `batcher` (incremental only) routes the scan
-/// through the SoA replay above.
+/// One parameter's candidate scan, i.e. one campaign unit: fills `fault`'s
+/// flip fields (if any candidate flips a correct sample) and accumulates
+/// the cost counters.  `prefix` selects the incremental engine; null falls
+/// back to the naive per-task patched copy of `net`.  A non-null `batcher`
+/// (incremental only) routes the scan through the SoA replay above.
 void scan_parameter(const nn::QuantizedNetwork& net,
                     const la::Matrix<i64>& inputs,
                     const std::vector<int>& labels,
@@ -420,9 +417,11 @@ WeightFaultReport analyze_weight_faults(const nn::QuantizedNetwork& net,
     if (cls == labels[s]) correct.push_back(s);
   }
 
-  // One task per parameter; each scans its candidates independently and
-  // writes into an indexed slot, so the scan order (and the report) is
-  // identical for every thread count.
+  // The report skeleton, one entry per parameter in scan order.  Each
+  // entry is one campaign unit (DESIGN.md §9), filled only through absorb
+  // in ascending order, so the report is identical for every thread count
+  // and shard size, and a killed journaled scan resumes instead of
+  // rescanning.
   WeightFaultReport report;
   report.model = config.model;
   for (std::size_t li = 0; li < net.depth(); ++li) {
@@ -438,41 +437,12 @@ WeightFaultReport analyze_weight_faults(const nn::QuantizedNetwork& net,
     }
   }
 
-  if (config.sweep.has_value()) {
-    // Resumable sharded path (DESIGN.md §9): one journaled unit per
-    // parameter; a killed campaign resumes instead of rescanning.  The
-    // report is bit-identical to the in-process fan-out below.
-    WeightFaultCampaign campaign(net, inputs, labels, config,
-                                 std::move(correct),
-                                 prefix ? &*prefix : nullptr,
-                                 batcher ? &*batcher : nullptr, report);
-    verify::SweepOptions options = *config.sweep;
-    if (options.threads == 0) options.threads = config.threads;
-    report.sweep = verify::SweepRunner(options).run(campaign);
-    return report;
-  }
-
-  std::atomic<std::uint64_t> evaluations{0};
-  std::atomic<std::uint64_t> layer_evaluations{0};
-  std::atomic<std::uint64_t> undecided{0};
-  const verify::Scheduler scheduler({.threads = config.threads});
-  scheduler.parallel_for(report.faults.size(), [&](std::size_t fi) {
-    ParamScanCounters counters;
-    scan_parameter(net, inputs, labels, config, correct,
-                   prefix ? &*prefix : nullptr, batcher ? &*batcher : nullptr,
-                   report.faults[fi], counters);
-    evaluations.fetch_add(counters.evaluations, std::memory_order_relaxed);
-    layer_evaluations.fetch_add(counters.layer_evaluations,
-                                std::memory_order_relaxed);
-    undecided.fetch_add(counters.undecided, std::memory_order_relaxed);
-  });
-
-  report.evaluations = evaluations.load();
-  report.layer_evaluations = layer_evaluations.load();
-  report.undecided_candidates = undecided.load();
-  for (const WeightFault& fault : report.faults) {
-    if (!fault.min_flip_percent) ++report.robust_weights;
-  }
+  WeightFaultCampaign campaign(net, inputs, labels, config, std::move(correct),
+                               prefix ? &*prefix : nullptr,
+                               batcher ? &*batcher : nullptr, report);
+  verify::SweepOptions options = config.sweep;
+  if (options.threads == 0) options.threads = config.threads;
+  report.sweep = verify::SweepRunner(options).run(campaign);
   return report;
 }
 

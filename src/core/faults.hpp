@@ -21,8 +21,9 @@
 /// at every layer boundary once, and each candidate re-evaluates only the
 /// faulted layer (a single-entry delta update) and the layers after it.
 /// The naive whole-network rescan survives as the reference oracle; both
-/// produce bit-identical reports.  Long scans can opt into resumable
-/// sharded execution via `WeightFaultConfig::sweep` (DESIGN.md §9).
+/// produce bit-identical reports.  The scan runs as a sweep campaign, one
+/// unit per parameter; a `WeightFaultConfig::sweep` journal makes a long
+/// scan resumable (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -94,10 +95,9 @@ struct WeightFaultReport {
   /// kBitFlip faults); skipped and counted, never guessed at.
   std::uint64_t undecided_candidates = 0;
   FaultModel model = FaultModel::kPercentScale;
-  /// Sweep accounting when WeightFaultConfig::sweep was engaged (default
-  /// otherwise: complete() is true).  When incomplete, un-absorbed `faults`
-  /// entries keep their defaults and the counters cover absorbed shards
-  /// only.
+  /// What the scan campaign's SweepRunner invocation did.  When
+  /// incomplete, un-absorbed `faults` entries keep their defaults and the
+  /// counters cover absorbed shards only.
   verify::SweepProgress sweep = {};
 };
 
@@ -110,8 +110,9 @@ enum class FaultScan { kIncremental, kNaive };
 struct WeightFaultConfig {
   int max_percent = 50;   ///< kPercentScale: scan p in [-max, +max] \ {0}
   int step = 1;           ///< kPercentScale: percent granularity
-  /// Worker threads for the per-parameter fan-out (0 = hardware
-  /// concurrency).  The report is identical for every thread count.
+  /// Worker threads for the campaign's shard fan-out when `sweep.threads`
+  /// is 0 (0 = hardware concurrency).  The report is identical for every
+  /// thread count.
   std::size_t threads = 0;
   FaultModel model = FaultModel::kPercentScale;
   FaultScan scan = FaultScan::kIncremental;
@@ -123,12 +124,12 @@ struct WeightFaultConfig {
   /// Reports are bit-identical for every value (deliberately excluded from
   /// the sweep fingerprint, like `threads`).
   std::size_t batch = 0;
-  /// Opt-in resumable sharded execution (DESIGN.md §9): one sweep unit per
-  /// parameter, journaled to `sweep->journal_path`, so a multi-hour fault
-  /// campaign killed mid-flight resumes instead of restarting from zero.
-  /// Reports are bit-identical to the in-process scan.  `sweep->threads`
-  /// of 0 inherits `threads` above.
-  std::optional<verify::SweepOptions> sweep = std::nullopt;
+  /// How the scan campaign runs through verify::SweepRunner (DESIGN.md
+  /// §9), one unit per parameter.  The default runs it in memory; a
+  /// `journal_path` lets a multi-hour fault campaign killed mid-flight
+  /// resume instead of restarting from zero.  Reports are bit-identical
+  /// either way.  `sweep.threads` of 0 inherits `threads` above.
+  verify::SweepOptions sweep = {};
 };
 
 /// Scans every weight and bias of `net` against the correctly-classified

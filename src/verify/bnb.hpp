@@ -21,8 +21,8 @@
 ///     in the box (full noise vector: input deltas, then the bias delta) —
 ///     a pure function of the query, independent of exploration order — by
 ///     continuing the search with every box at-or-above the best witness
-///     pruned, mirroring the lowest-index-witness guarantee of
-///     `Scheduler::run_until_witness`;
+///     pruned, so a parallel search returns the witness a serial
+///     lexicographic scan would find first;
 ///   - `bnb_collect` returns the `max_count` lexicographically smallest
 ///     counterexamples in ascending order, via the same bound generalized
 ///     to a top-K frontier prune;

@@ -13,7 +13,7 @@ namespace fannet::verify {
 
 namespace {
 
-/// Per-batch tallies shared by the worker lanes of one run_* call.
+/// Per-batch tallies shared by the worker lanes of one dispatch call.
 struct DriveTallies {
   std::atomic<std::uint64_t> deadline_expired{0};
   std::atomic<std::uint64_t> paused{0};
@@ -88,9 +88,9 @@ std::size_t Scheduler::intra_grant(std::size_t batch_size) const noexcept {
 
 VerifyResult Scheduler::verify_one(const Query& query, const Engine& engine,
                                    bool* hit) const {
-  // Solo dispatches are usually probe chains inside a parallel_for lane,
-  // so the auto grant stays at 1; an explicit intra_query_threads setting
-  // is honoured as-is.
+  // Solo dispatches are probe chains inside one sweep shard, so the auto
+  // grant stays at 1; an explicit intra_query_threads setting (the
+  // analyses pass their campaign's leftover grant) is honoured as-is.
   VerifyContext context{
       .threads = intra_query_threads_ != 0 ? intra_query_threads_ : 1,
       .batch_hint = batch_hint_,
@@ -189,101 +189,6 @@ std::vector<VerifyResult> Scheduler::run_all(std::span<const Query> queries,
     stats->wall_ms = watch.millis();
   }
   return results;
-}
-
-std::optional<Scheduler::Witness> Scheduler::run_until_witness(
-    std::span<const Query> queries, const Engine& engine, BatchStats* stats,
-    BatchControl* control) const {
-  const util::Stopwatch watch;
-  QueryCache* const cache = effective_cache();
-  const std::size_t count = queries.size();
-  const VerifyContext base{.threads = intra_grant(count),
-                           .batch_hint = batch_hint_,
-                           .budget = budget_};
-  std::vector<VerifyResult> results(count);
-  DriveTallies tallies;
-
-  // Cancellation bound: the lowest index known to be vulnerable.  Indices
-  // above it can no longer be the lowest witness and are skipped; indices
-  // below it always run, which is what makes the final answer — the lowest
-  // vulnerable index overall — independent of the thread count.
-  std::atomic<std::size_t> bound{count};
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::uint64_t> total_work{0};
-  std::atomic<std::size_t> num_executed{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  util::FirstError error;
-
-  const std::size_t workers = std::min(std::max<std::size_t>(1, threads_),
-                                       std::max<std::size_t>(1, count));
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      if (i > bound.load(std::memory_order_acquire)) continue;  // cancelled
-      try {
-        VerifyContext context = base;
-        if (deadline_ms_ != 0) {
-          context.budget.deadline = Budget::after_ms(deadline_ms_);
-        }
-        bool hit = false;
-        results[i] = cached_verify(
-            cache, queries[i], engine,
-            [&] {
-              return drive_task(engine, queries[i], context, step_work_,
-                                control, tallies);
-            },
-            &hit);
-        if (hit) cache_hits.fetch_add(1, std::memory_order_relaxed);
-      } catch (...) {
-        error.capture();
-        next.store(count, std::memory_order_relaxed);
-        return;
-      }
-      num_executed.fetch_add(1, std::memory_order_relaxed);
-      total_work.fetch_add(results[i].work, std::memory_order_relaxed);
-      if (results[i].verdict == Verdict::kVulnerable) {
-        std::size_t seen = bound.load(std::memory_order_acquire);
-        while (i < seen &&
-               !bound.compare_exchange_weak(seen, i,
-                                            std::memory_order_acq_rel)) {
-        }
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  error.rethrow_if_set();
-  deadline_expired_total_.fetch_add(tallies.deadline_expired.load(),
-                                    std::memory_order_relaxed);
-
-  if (stats != nullptr) {
-    stats->queries = count;
-    stats->executed = num_executed.load();
-    stats->threads = workers;
-    stats->total_work = total_work.load();
-    stats->cache_enabled = cache != nullptr;
-    stats->cache_hits = cache_hits.load();
-    stats->cache_misses = stats->executed - stats->cache_hits;
-    stats->deadline_expired = tallies.deadline_expired.load();
-    stats->paused = tallies.paused.load();
-    stats->resumed = tallies.resumed.load();
-    stats->wall_ms = watch.millis();
-  }
-
-  const std::size_t w = bound.load();
-  if (w == count) return std::nullopt;
-  Witness witness;
-  witness.index = w;
-  witness.result = results[w];
-  return witness;
 }
 
 }  // namespace fannet::verify

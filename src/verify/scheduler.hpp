@@ -8,31 +8,28 @@
 ///
 ///   - results are written to index-addressed slots, so `run_all` returns
 ///     them in input order regardless of completion order;
-///   - `run_until_witness` decides existence-style batches ("does ANY query
-///     in this batch have a counterexample?") and cancels work that can no
-///     longer matter, yet still returns the *lowest-index* witness — the
-///     same one a serial scan would find — by only skipping indices above
-///     the best witness known so far;
-///   - `parallel_for` runs non-uniform jobs (per-sample bisections, weight
-///     scans) with the same deterministic-slot discipline left to callers.
+///   - `parallel_for` runs non-uniform jobs (sweep shards, per-sample P3
+///     loops) with the same deterministic-slot discipline left to callers;
+///   - `verify_one` decides a single query — the probe chains inside one
+///     sweep shard (tolerance descents, directional scans, solo
+///     bisections) go through it.
 ///
-/// Every query dispatched by `run_all` / `run_until_witness` / `verify_one`
-/// first probes the configured `QueryCache` (per-scheduler override or the
-/// process-wide cache; see verify/query_cache.hpp and DESIGN.md §7) and
-/// memoizes the verdict on a miss; hit/miss counts land in `BatchStats`.
-/// Engines are deterministic, so results are identical cache-on vs
-/// cache-off.
+/// Every query dispatched by `run_all` / `verify_one` first probes the
+/// configured `QueryCache` (per-scheduler override or the process-wide
+/// cache; see verify/query_cache.hpp and DESIGN.md §7) and memoizes the
+/// verdict on a miss; hit/miss counts land in `BatchStats`.  Engines are
+/// deterministic, so results are identical cache-on vs cache-off.
 ///
 /// Cache misses are decided by *driving the engine's resumable task*
 /// (`Engine::make_task`, DESIGN.md §12) in a step loop — the only way an
-/// engine runs.  That is what makes the batch entry points
-/// deadline-aware and controllable: `SchedulerOptions::deadline_ms` arms a
-/// fresh per-query `Budget::after_ms` deadline at each dispatch (expiry →
-/// kUnknown with `resource_limited`, overshoot bounded by one step), and a
-/// `BatchControl` passed to run_all / run_until_witness can pause, resume,
-/// or cancel the whole in-flight batch between steps.  Because tasks
-/// checkpoint at step boundaries without changing what they compute,
-/// verdicts and witnesses are bit-identical to the uninterrupted run.
+/// engine runs.  That is what makes the dispatches deadline-aware and
+/// controllable: `SchedulerOptions::deadline_ms` arms a fresh per-query
+/// `Budget::after_ms` deadline at each dispatch (expiry → kUnknown with
+/// `resource_limited`, overshoot bounded by one step), and a
+/// `BatchControl` passed to run_all can pause, resume, or cancel the whole
+/// in-flight batch between steps.  Because tasks checkpoint at step
+/// boundaries without changing what they compute, verdicts and witnesses
+/// are bit-identical to the uninterrupted run.
 ///
 /// Exceptions thrown by a task are captured and rethrown on the calling
 /// thread after the pool drains (first one wins).
@@ -105,7 +102,7 @@ struct SchedulerOptions {
 };
 
 /// Cooperative control surface for an in-flight batch.  Pass one instance
-/// to `run_all` / `run_until_witness` and flip it from any other thread:
+/// to `run_all` and flip it from any other thread:
 ///
 ///   - `pause()`   parks every in-flight task at its next step boundary
 ///                 (workers block; cache hits and already-finished queries
@@ -177,10 +174,10 @@ class BatchControl {
   util::CondVar cv_;
 };
 
-/// Per-batch accounting, filled by the run_* entry points.
+/// Per-batch accounting, filled by `run_all`.
 struct BatchStats {
   std::size_t queries = 0;    ///< batch size
-  std::size_t executed = 0;   ///< queries actually decided (cancellation skips)
+  std::size_t executed = 0;   ///< queries decided (run_all decides all)
   std::size_t threads = 0;    ///< workers used for this batch
   std::uint64_t total_work = 0;  ///< sum of per-query VerifyResult::work
   bool cache_enabled = false;      ///< whether a query cache was probed
@@ -211,9 +208,9 @@ class Scheduler {
   [[nodiscard]] std::size_t threads() const noexcept { return threads_; }
 
   /// Decides one query through the cache tier (probe, engine dispatch on a
-  /// miss, memoize).  This is the single dispatch point every batch entry
-  /// goes through; analyses use it for their non-batch probe chains
-  /// (tolerance descents, solo bisections) so those memoize too.
+  /// miss, memoize).  The analyses' sweep campaigns run every probe chain
+  /// inside a shard through it (tolerance screens and descents,
+  /// directional scans, solo bisections), so those memoize too.
   /// `hit`, when non-null, reports whether the cache answered.
   [[nodiscard]] VerifyResult verify_one(const Query& query,
                                         const Engine& engine,
@@ -229,20 +226,6 @@ class Scheduler {
       std::span<const Query> queries, const Engine& engine,
       BatchStats* stats = nullptr, BatchControl* control = nullptr) const;
 
-  struct Witness {
-    std::size_t index = 0;
-    VerifyResult result;
-  };
-
-  /// Existence query over the batch: returns the lowest-index kVulnerable
-  /// result (with its counterexample), or nullopt if no query in the batch
-  /// is vulnerable.  Once a witness is known, queries at higher indices are
-  /// cancelled — the verdict and the returned witness are still
-  /// deterministic for any thread count.
-  [[nodiscard]] std::optional<Witness> run_until_witness(
-      std::span<const Query> queries, const Engine& engine,
-      BatchStats* stats = nullptr, BatchControl* control = nullptr) const;
-
   /// Generic deterministic fan-out: calls fn(i) exactly once for every
   /// i in [0, count), across the pool.  Callers keep determinism by writing
   /// results to index-addressed slots.
@@ -255,13 +238,13 @@ class Scheduler {
   /// explicit `intra_query_threads` setting when non-zero, otherwise the
   /// leftover threads once the batch is spread across the workers
   /// (>= 1).  This is the single budget-splitting policy — callers that
-  /// fan out engine-adjacent work themselves (e.g. extract_corpus's
-  /// per-sample bnb_collect loops) read their grant from here instead of
-  /// re-deriving it.
+  /// fan out engine-adjacent work themselves (extract_corpus's per-sample
+  /// bnb_collect loops, the analyses' sweep campaigns) read their grant
+  /// from here instead of re-deriving it.
   [[nodiscard]] std::size_t intra_grant(std::size_t batch_size) const noexcept;
 
-  /// Total queries (across every run_* / verify_one call on this scheduler)
-  /// whose deadline expired.  Analyses surface this on their reports so a
+  /// Total queries (across every run_all / verify_one call on this
+  /// scheduler) whose deadline expired.  Analyses surface this on their reports so a
   /// sweep cut short by `deadline_ms` is visible, not silent.
   [[nodiscard]] std::uint64_t deadline_expired_total() const noexcept {
     return deadline_expired_total_.load(std::memory_order_relaxed);

@@ -259,7 +259,11 @@ SweepProgress SweepRunner::run(SweepCampaign& campaign) const {
   const std::size_t units = campaign.units();
   const std::size_t shard_size =
       options_.shard_size != 0 ? options_.shard_size : 1;
-  const std::size_t total_shards = (units + shard_size - 1) / shard_size;
+  // Ceiling division that cannot wrap: `units + shard_size - 1` would once
+  // the shard size is within `units` of SIZE_MAX.  Shard 0 starts at 0, so
+  // shard_end below cannot overflow either.
+  const std::size_t total_shards =
+      units == 0 ? 0 : (units - 1) / shard_size + 1;
   const auto shard_begin = [&](std::size_t shard) { return shard * shard_size; };
   const auto shard_end = [&](std::size_t shard) {
     return std::min(shard_begin(shard) + shard_size, units);

@@ -18,8 +18,9 @@
 ///     deterministic, DESIGN.md §2), so a shard payload is a pure function
 ///     of the campaign configuration.  Shard dispatches inherit the
 ///     resumable task substrate (DESIGN.md §12) via Scheduler::verify_one,
-///     but never a wall-clock deadline: the analyses reject
-///     `deadline_ms` + `sweep` so journaled rows stay time-independent;
+///     but never under a wall-clock deadline when journaled: the analyses
+///     reject `deadline_ms` together with a journal so journaled rows stay
+///     time-independent;
 ///   - aggregation (`SweepCampaign::absorb`) runs single-threaded in
 ///     ascending shard order after all execution, regardless of the
 ///     completion order the journal happens to record.
@@ -33,9 +34,12 @@
 /// (different network fingerprint, grid, or shard size) is rejected with a
 /// clear error instead of silently mixing results.
 ///
-/// The analyses opt in through their config structs
-/// (`core::ToleranceConfig::sweep` etc.); `fannet_cli sweep` exposes the
-/// whole surface from the shell (docs/cli.md).
+/// Every analysis (tolerance, sensitivity, weight faults) runs as its
+/// campaign through this runner — it is their only fan-out.  Their config
+/// structs carry the options (`core::ToleranceConfig::sweep` etc.): the
+/// default runs in memory, a journal path is the opt-in to checkpointing.
+/// `fannet_cli sweep` exposes the whole surface from the shell
+/// (docs/cli.md).
 #pragma once
 
 #include <cstdint>
@@ -89,7 +93,7 @@ class SweepCampaign {
                       const SweepRows& rows) = 0;
 };
 
-/// Orchestration knobs; the analysis configs embed this as the opt-in.
+/// Orchestration knobs; every analysis config embeds one.
 struct SweepOptions {
   /// Append-only JSON-lines checkpoint file.  Empty runs the sweep
   /// in-memory (sharded execution, no checkpointing).  A nonexistent or

@@ -230,29 +230,6 @@ TEST(QueryCache, SchedulerResultsAreBitIdenticalCacheOnVsOff) {
   }
 }
 
-TEST(QueryCache, WitnessSearchIsIdenticalCacheOnVsOff) {
-  for (const std::uint64_t seed : {41u, 42u}) {
-    const std::vector<Query> batch = mixed_batch(16, seed);
-    const Engine& bnb = engine("bnb");
-    const auto baseline = Scheduler({.threads = 1}).run_until_witness(batch, bnb);
-
-    QueryCache cache;
-    const Scheduler cached({.threads = 1, .cache = &cache});
-    for (int pass = 0; pass < 2; ++pass) {
-      BatchStats stats;
-      const auto witness = cached.run_until_witness(batch, bnb, &stats);
-      ASSERT_EQ(witness.has_value(), baseline.has_value()) << "seed " << seed;
-      if (baseline.has_value()) {
-        EXPECT_EQ(witness->index, baseline->index);
-        EXPECT_TRUE(same_result(witness->result, baseline->result));
-      }
-      if (pass == 1) {
-        EXPECT_EQ(stats.cache_misses, 0u);
-      }
-    }
-  }
-}
-
 TEST(QueryCache, ToleranceAnalysisIsBitIdenticalWithGlobalCache) {
   const nn::QuantizedNetwork& net = shared_net();
   const core::Fannet fannet(net);

@@ -1,7 +1,6 @@
 // Scheduler determinism tests: batch results must be bit-identical and
-// identically ordered for 1 vs N worker threads, the witness search must
-// return the same (lowest-index) witness a serial scan finds, and
-// exceptions must propagate to the caller.
+// identically ordered for 1 vs N worker threads, and exceptions must
+// propagate to the caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -83,61 +82,6 @@ TEST(Scheduler, RunAllAgreesWithDirectEngineCalls) {
   }
 }
 
-TEST(Scheduler, WitnessSearchFindsSerialWitnessForAnyThreadCount) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    const std::vector<Query> batch = mixed_batch(30, seed);
-    const Engine& bnb = engine("bnb");
-
-    // Serial reference: the first vulnerable index.
-    std::optional<std::size_t> expected;
-    for (std::size_t i = 0; i < batch.size() && !expected; ++i) {
-      if (bnb.verify(batch[i]).verdict == Verdict::kVulnerable) expected = i;
-    }
-
-    for (const std::size_t threads : {1u, 3u, 8u}) {
-      BatchStats stats;
-      const auto witness = Scheduler({.threads = threads})
-                               .run_until_witness(batch, bnb, &stats);
-      EXPECT_EQ(stats.queries, batch.size());
-      EXPECT_LE(stats.executed, batch.size());
-      if (!expected.has_value()) {
-        EXPECT_FALSE(witness.has_value()) << "seed " << seed;
-        EXPECT_EQ(stats.executed, batch.size());
-        continue;
-      }
-      ASSERT_TRUE(witness.has_value()) << "seed " << seed;
-      EXPECT_EQ(witness->index, *expected)
-          << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(witness->result.verdict, Verdict::kVulnerable);
-      ASSERT_TRUE(witness->result.counterexample.has_value());
-      std::vector<int> deltas = witness->result.counterexample->deltas;
-      EXPECT_NE(classify_under_noise(batch[witness->index], deltas),
-                batch[witness->index].true_label);
-    }
-  }
-}
-
-TEST(Scheduler, WitnessSearchCancelsTailWork) {
-  // Every query is vulnerable, so a serial scan decides exactly one before
-  // cancelling the rest.
-  const nn::QuantizedNetwork& net = shared_net();
-  std::vector<Query> batch;
-  for (int i = 0; i < 20; ++i) {
-    Query q;
-    q.net = &net;
-    q.x = {50, 60, 70};
-    q.true_label = 1 - net.classify_noised(q.x, {});
-    q.box = NoiseBox::symmetric(3, 1);
-    batch.push_back(std::move(q));
-  }
-  BatchStats stats;
-  const auto witness =
-      Scheduler({.threads = 1}).run_until_witness(batch, engine("bnb"), &stats);
-  ASSERT_TRUE(witness.has_value());
-  EXPECT_EQ(witness->index, 0u);
-  EXPECT_EQ(stats.executed, 1u);
-}
-
 TEST(Scheduler, ParallelForCoversEveryIndexExactlyOnce) {
   const Scheduler scheduler({.threads = 8});
   std::vector<std::atomic<int>> hits(997);
@@ -175,12 +119,6 @@ TEST(Scheduler, StatsCountEngineDispatchesAsMissesWithoutCache) {
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_misses, batch.size());
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.executed);
-
-  BatchStats witness_stats;
-  (void)Scheduler({.threads = 2})
-      .run_until_witness(batch, engine("bnb"), &witness_stats);
-  EXPECT_FALSE(witness_stats.cache_enabled);
-  EXPECT_EQ(witness_stats.cache_misses, witness_stats.executed);
 }
 
 TEST(Scheduler, IntraQueryGrantsKeepVerdictsAndWitnessesIdentical) {
@@ -208,7 +146,6 @@ TEST(Scheduler, EmptyBatchesAreNoOps) {
   BatchStats stats;
   EXPECT_TRUE(scheduler.run_all({}, engine("bnb"), &stats).empty());
   EXPECT_EQ(stats.queries, 0u);
-  EXPECT_FALSE(scheduler.run_until_witness({}, engine("bnb")).has_value());
   EXPECT_GE(scheduler.threads(), 1u);
 }
 

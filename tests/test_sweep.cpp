@@ -1,14 +1,21 @@
 // Tests for the resumable sharded sweep orchestrator (verify/sweep.hpp,
 // DESIGN.md §9): runner mechanics on a toy campaign (resume skips
 // journaled shards, torn final lines are discarded, duplicates resolve
-// last-wins, mismatched journals are rejected) plus end-to-end identity of
-// the sweep path against the in-process analyses.
+// last-wins, mismatched journals are rejected) plus end-to-end checks of
+// the analyses' campaigns against brute-force references that run no
+// engine, scheduler or campaign.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -16,6 +23,7 @@
 #include "core/faults.hpp"
 #include "nn/network.hpp"
 #include "util/error.hpp"
+#include "verify/enumerate.hpp"
 #include "verify/sweep.hpp"
 
 namespace fannet {
@@ -134,6 +142,30 @@ TEST(SweepRunner, InMemoryRunIsCompleteForAnyShardSizeAndThreads) {
       EXPECT_EQ(progress.units_executed, 10u);
       EXPECT_EQ(campaign.sum, square_sum(10));
       EXPECT_EQ(campaign.absorbed_units, 10u);
+    }
+  }
+}
+
+TEST(SweepRunner, HugeShardSizeRunsOneShardWithEveryUnit) {
+  // The shard count must not wrap when the shard size is within the unit
+  // count of SIZE_MAX (a wrapped count of 0 would run nothing and still
+  // report a complete campaign).
+  SquareCampaign reference(10);
+  (void)SweepRunner({.shard_size = 1}).run(reference);
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t shard_size : {kMax, kMax - 1}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SquareCampaign campaign(10);
+      const SweepProgress progress =
+          SweepRunner({.shard_size = shard_size, .threads = threads})
+              .run(campaign);
+      EXPECT_TRUE(progress.complete());
+      EXPECT_EQ(progress.total_shards, 1u);
+      EXPECT_EQ(progress.executed_shards, 1u);
+      EXPECT_EQ(progress.units_executed, 10u);
+      EXPECT_EQ(campaign.executed_units.load(), 10u);
+      EXPECT_EQ(campaign.absorbed_units, 10u);
+      EXPECT_EQ(campaign.sum, reference.sum);
     }
   }
 }
@@ -339,7 +371,10 @@ TEST(SweepRunner, MaxShardsChunksDriveTheCampaignToCompletion) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end identity of the sweep path against the in-process analyses.
+// End-to-end checks of the analyses' campaigns.  Tolerance and sensitivity
+// are compared with brute-force references over the integer noise grid
+// (enumerate_stream and the exact evaluator, no engine or scheduler); the
+// weight-fault scan with its scalar reference loop (batch = 1).
 // ---------------------------------------------------------------------------
 
 nn::QuantizedNetwork tiny_qnet() {
@@ -354,12 +389,18 @@ nn::QuantizedNetwork tiny_qnet() {
   return nn::QuantizedNetwork::quantize(nn::Network({hidden, out}), 100);
 }
 
-la::Matrix<i64> tiny_inputs() {
-  la::Matrix<i64> inputs(3, 2);
-  inputs(0, 0) = 80; inputs(0, 1) = 30;
-  inputs(1, 0) = 20; inputs(1, 1) = 90;
-  inputs(2, 0) = 55; inputs(2, 1) = 45;
+/// A two-column input matrix from (x0, x1) rows.
+la::Matrix<i64> matrix_of(const std::vector<std::pair<i64, i64>>& rows) {
+  la::Matrix<i64> inputs(rows.size(), 2);
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    inputs(s, 0) = rows[s].first;
+    inputs(s, 1) = rows[s].second;
+  }
   return inputs;
+}
+
+la::Matrix<i64> tiny_inputs() {
+  return matrix_of({{80, 30}, {20, 90}, {55, 45}});
 }
 
 std::vector<int> labels_for(const nn::QuantizedNetwork& net,
@@ -369,6 +410,88 @@ std::vector<int> labels_for(const nn::QuantizedNetwork& net,
     labels.push_back(net.classify_noised(inputs.row(s), {}));
   }
   return labels;
+}
+
+/// Every distinct shard layout of a `units`-unit campaign: 0 (the default,
+/// one unit per shard), 1 .. units + 1, and SIZE_MAX.
+std::vector<std::size_t> every_shard_size(std::size_t units) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t size = 0; size <= units + 1; ++size) sizes.push_back(size);
+  sizes.push_back(std::numeric_limits<std::size_t>::max());
+  return sizes;
+}
+
+/// Every counterexample of `row` in the symmetric box ±range (no bias
+/// node), from the scalar grid walk.
+std::vector<verify::Counterexample> all_counterexamples(
+    const nn::QuantizedNetwork& net, std::span<const i64> row, int label,
+    int range) {
+  verify::Query q;
+  q.net = &net;
+  q.x.assign(row.begin(), row.end());
+  q.true_label = label;
+  q.box = verify::NoiseBox::symmetric(row.size(), range);
+  std::vector<verify::Counterexample> out;
+  (void)verify::enumerate_stream(q, [&](const verify::Counterexample& cex) {
+    out.push_back(cex);
+    return true;
+  });
+  return out;
+}
+
+/// Brute-force tolerance reference (binary descent, no bias node): per
+/// P1-correct sample, the minimal flip range is the smallest R <=
+/// start_range whose grid holds a counterexample, i.e. the least L-inf
+/// norm of any counterexample at start_range; the witness is the
+/// lexicographically lowest noise vector in ±R.  `queries` counts one
+/// screen per correct sample plus the binary descent's probes replayed
+/// against that R.
+ToleranceReport tolerance_oracle(const nn::QuantizedNetwork& net,
+                                 const la::Matrix<i64>& inputs,
+                                 const std::vector<int>& labels,
+                                 int start_range) {
+  ToleranceReport report;
+  report.noise_tolerance = start_range;
+  for (std::size_t s = 0; s < inputs.rows(); ++s) {
+    core::SampleTolerance st;
+    st.sample = s;
+    st.true_label = labels[s];
+    st.correct_without_noise =
+        net.classify_noised(inputs.row(s), {}) == labels[s];
+    if (st.correct_without_noise) {
+      ++report.queries;  // the start-range screen
+      const auto cexs =
+          all_counterexamples(net, inputs.row(s), labels[s], start_range);
+      const auto norm = [](const verify::Counterexample& cex) {
+        int m = 0;
+        for (const int d : cex.deltas) m = std::max(m, std::abs(d));
+        return m;
+      };
+      for (const verify::Counterexample& cex : cexs) {
+        if (!st.min_flip_range || norm(cex) < *st.min_flip_range) {
+          st.min_flip_range = norm(cex);
+        }
+      }
+      if (st.min_flip_range) {
+        for (const verify::Counterexample& cex : cexs) {
+          if (norm(cex) <= *st.min_flip_range &&
+              (!st.witness || cex.deltas < st.witness->deltas)) {
+            st.witness = cex;
+          }
+        }
+        int lo = 1, hi = start_range;
+        while (lo < hi) {
+          const int mid = lo + (hi - lo) / 2;
+          ++report.queries;
+          if (mid >= *st.min_flip_range) hi = mid; else lo = mid + 1;
+        }
+        report.noise_tolerance =
+            std::min(report.noise_tolerance, *st.min_flip_range - 1);
+      }
+    }
+    report.per_sample.push_back(std::move(st));
+  }
+  return report;
 }
 
 void expect_same_tolerance(const ToleranceReport& a, const ToleranceReport& b) {
@@ -384,66 +507,167 @@ void expect_same_tolerance(const ToleranceReport& a, const ToleranceReport& b) {
 }
 
 TEST(SweepAnalyses, ToleranceSweepMatchesBatchPathAndResumes) {
+  // Reference: tolerance_oracle, a brute-force walk of the integer grid.
   const nn::QuantizedNetwork net = tiny_qnet();
   const core::Fannet fannet(net);
-  const la::Matrix<i64> inputs = tiny_inputs();
-  const std::vector<int> labels = labels_for(net, inputs);
+  // tiny_inputs (one sample flips at ±1, two survive ±30), two samples
+  // whose minimal flip ranges lie mid-grid, and one mislabeled sample the
+  // P1 check must exclude.
+  const la::Matrix<i64> inputs = matrix_of(
+      {{80, 30}, {20, 90}, {55, 45}, {10, 40}, {10, 60}, {30, 40}});
+  std::vector<int> labels = labels_for(net, inputs);
+  labels[5] = 1 - labels[5];
+  constexpr int kStart = 30;
+  const ToleranceReport oracle =
+      tolerance_oracle(net, inputs, labels, kStart);
+  ASSERT_FALSE(oracle.per_sample[5].correct_without_noise);
+  ASSERT_GT(oracle.per_sample[3].min_flip_range.value_or(0), 1);
+  ASSERT_GT(oracle.per_sample[4].min_flip_range.value_or(0), 1);
 
-  ToleranceConfig direct_config;
-  direct_config.start_range = 30;
-  direct_config.threads = 1;
-  const ToleranceReport direct =
-      fannet.analyze_tolerance(inputs, labels, direct_config);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    ToleranceConfig config = direct_config;
-    config.sweep = SweepOptions{.shard_size = 2, .threads = threads};
-    const ToleranceReport swept =
-        fannet.analyze_tolerance(inputs, labels, config);
-    EXPECT_TRUE(swept.sweep.complete());
-    expect_same_tolerance(direct, swept);
+  ToleranceConfig base;
+  base.start_range = kStart;
+  std::size_t units = 0;  // one per correct sample
+  for (const core::SampleTolerance& st : oracle.per_sample) {
+    units += st.correct_without_noise ? 1 : 0;
+  }
+  for (const std::size_t shard_size : every_shard_size(units)) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      ToleranceConfig config = base;
+      config.sweep = SweepOptions{.shard_size = shard_size, .threads = threads};
+      const ToleranceReport swept =
+          fannet.analyze_tolerance(inputs, labels, config);
+      EXPECT_TRUE(swept.sweep.complete());
+      EXPECT_EQ(swept.sweep.units_executed, units);
+      expect_same_tolerance(oracle, swept);
+    }
   }
 
   // Kill/resume cycle through the journal.
   TempJournal journal("tolerance");
-  ToleranceConfig partial = direct_config;
+  ToleranceConfig partial = base;
   partial.sweep = SweepOptions{.journal_path = journal.path, .max_shards = 1};
   const ToleranceReport first =
       fannet.analyze_tolerance(inputs, labels, partial);
   EXPECT_FALSE(first.sweep.complete());
 
-  ToleranceConfig rest = direct_config;
+  ToleranceConfig rest = base;
   rest.sweep = SweepOptions{.journal_path = journal.path};
   const ToleranceReport resumed =
       fannet.analyze_tolerance(inputs, labels, rest);
   EXPECT_TRUE(resumed.sweep.complete());
   EXPECT_EQ(resumed.sweep.resumed_shards, 1u);
-  expect_same_tolerance(direct, resumed);
+  expect_same_tolerance(oracle, resumed);
+}
+
+/// Brute-force sensitivity reference: a direction of node i is possible
+/// when some correct sample has a counterexample in ±range with delta_i
+/// strictly of that sign (the other nodes anywhere in ±range); the solo
+/// range of node i is the least |delta| <= range that flips some correct
+/// sample with only node i noised.
+core::NodeSensitivityReport sensitivity_oracle(
+    const nn::QuantizedNetwork& net, const la::Matrix<i64>& inputs,
+    const std::vector<int>& labels, int range) {
+  const std::size_t n = inputs.cols();
+  core::NodeSensitivityReport report;
+  report.positive_possible.assign(n, false);
+  report.negative_possible.assign(n, false);
+  report.solo_flip_range.assign(n, std::nullopt);
+  for (std::size_t s = 0; s < inputs.rows(); ++s) {
+    const auto row = inputs.row(s);
+    if (net.classify_noised(row, {}) != labels[s]) continue;
+    for (const verify::Counterexample& cex :
+         all_counterexamples(net, row, labels[s], range)) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (cex.deltas[i] > 0) report.positive_possible[i] = true;
+        if (cex.deltas[i] < 0) report.negative_possible[i] = true;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<int> deltas(n, 0);
+      for (int magnitude = 1; magnitude <= range; ++magnitude) {
+        deltas[i] = magnitude;
+        const bool up = net.classify_noised(row, deltas) != labels[s];
+        deltas[i] = -magnitude;
+        const bool down = net.classify_noised(row, deltas) != labels[s];
+        if (up || down) {
+          std::optional<int>& best = report.solo_flip_range[i];
+          if (!best || magnitude < *best) best = magnitude;
+          break;
+        }
+      }
+    }
+  }
+  return report;
+}
+
+void expect_same_probes(const core::NodeSensitivityReport& a,
+                        const core::NodeSensitivityReport& b) {
+  EXPECT_EQ(a.positive_possible, b.positive_possible);
+  EXPECT_EQ(a.negative_possible, b.negative_possible);
+  EXPECT_EQ(a.solo_flip_range, b.solo_flip_range);
 }
 
 TEST(SweepAnalyses, SensitivitySweepMatchesBatchPath) {
+  // Reference: sensitivity_oracle, a brute-force walk of the integer grid.
   const nn::QuantizedNetwork net = tiny_qnet();
   const core::Fannet fannet(net);
-  const la::Matrix<i64> inputs = tiny_inputs();
-  const std::vector<int> labels = labels_for(net, inputs);
+  // A survivor first; node 0 can flip a sample only with positive noise
+  // from the last correct sample; node 1 flips alone only from -17 (so the
+  // solo bisection must tighten the full-range witness); the mislabeled
+  // last sample (which would flip node 1 at +1) must be excluded by P1.
+  const la::Matrix<i64> inputs =
+      matrix_of({{55, 45}, {30, 40}, {20, 50}, {10, 60}, {80, 30}});
+  std::vector<int> labels = labels_for(net, inputs);
+  labels[4] = 1 - labels[4];
+  constexpr int kRange = 20;
+  const core::NodeSensitivityReport oracle =
+      sensitivity_oracle(net, inputs, labels, kRange);
+  ASSERT_EQ(oracle.positive_possible, (std::vector<bool>{true, false}));
+  ASSERT_EQ(oracle.negative_possible, (std::vector<bool>{true, true}));
+  ASSERT_EQ(oracle.solo_flip_range,
+            (std::vector<std::optional<int>>{std::nullopt, 17}));
 
-  core::SensitivityConfig direct_config;
-  direct_config.threads = 1;
-  const core::NodeSensitivityReport direct =
-      core::analyze_sensitivity(fannet, inputs, labels, 20, {}, direct_config);
+  // One corpus entry so the histograms are checked to stay outside the
+  // campaign.
+  std::vector<core::CorpusEntry> corpus(1);
+  corpus[0].cex.deltas = {3, -2};
+  std::size_t correct = 0;
+  for (std::size_t s = 0; s < inputs.rows(); ++s) {
+    correct += net.classify_noised(inputs.row(s), {}) == labels[s] ? 1 : 0;
+  }
+  // 2 directional units per node, then one solo unit per (node, sample).
+  const std::size_t units = 2 * inputs.cols() + inputs.cols() * correct;
+  for (const std::size_t shard_size : every_shard_size(units)) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      core::SensitivityConfig config;
+      config.sweep = SweepOptions{.shard_size = shard_size, .threads = threads};
+      const core::NodeSensitivityReport swept = core::analyze_sensitivity(
+          fannet, inputs, labels, kRange, corpus, config);
+      EXPECT_TRUE(swept.sweep.complete());
+      EXPECT_EQ(swept.sweep.units_executed, units);
+      expect_same_probes(oracle, swept);
+      EXPECT_EQ(swept.positive, (std::vector<std::uint64_t>{1, 0}));
+      EXPECT_EQ(swept.negative, (std::vector<std::uint64_t>{0, 1}));
+    }
+  }
 
-  core::SensitivityConfig config = direct_config;
-  config.sweep = SweepOptions{.shard_size = 3, .threads = 2};
-  const core::NodeSensitivityReport swept =
-      core::analyze_sensitivity(fannet, inputs, labels, 20, {}, config);
+  // Kill/resume cycle through the journal.
+  TempJournal journal("sensitivity");
+  core::SensitivityConfig partial;
+  partial.sweep = SweepOptions{.journal_path = journal.path,
+                               .shard_size = 3,
+                               .max_shards = 2};
+  const core::NodeSensitivityReport first =
+      core::analyze_sensitivity(fannet, inputs, labels, kRange, {}, partial);
+  EXPECT_FALSE(first.sweep.complete());
 
-  EXPECT_TRUE(swept.sweep.complete());
-  EXPECT_EQ(direct.positive_possible, swept.positive_possible);
-  EXPECT_EQ(direct.negative_possible, swept.negative_possible);
-  EXPECT_EQ(direct.solo_flip_range, swept.solo_flip_range);
-  EXPECT_EQ(direct.positive, swept.positive);
-  EXPECT_EQ(direct.negative, swept.negative);
-  EXPECT_EQ(direct.zero, swept.zero);
+  core::SensitivityConfig rest;
+  rest.sweep = SweepOptions{.journal_path = journal.path, .shard_size = 3};
+  const core::NodeSensitivityReport resumed =
+      core::analyze_sensitivity(fannet, inputs, labels, kRange, {}, rest);
+  EXPECT_TRUE(resumed.sweep.complete());
+  EXPECT_EQ(resumed.sweep.resumed_shards, 2u);
+  expect_same_probes(oracle, resumed);
 }
 
 void expect_same_weight_faults(const WeightFaultReport& a,
@@ -461,21 +685,28 @@ TEST(SweepAnalyses, WeightFaultSweepMatchesDirectScanAndResumes) {
   const la::Matrix<i64> inputs = tiny_inputs();
   const std::vector<int> labels = labels_for(net, inputs);
 
-  WeightFaultConfig direct_config{.max_percent = 40, .step = 1, .threads = 1};
+  // Reference: the scalar scan loop (batch = 1), bit-identical to the
+  // batched replay the other runs take by contract, counters included.
+  WeightFaultConfig direct_config{
+      .max_percent = 40, .step = 1, .threads = 1, .batch = 1};
   const WeightFaultReport direct =
       core::analyze_weight_faults(net, inputs, labels, direct_config);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    WeightFaultConfig config = direct_config;
-    config.sweep = SweepOptions{.shard_size = 5, .threads = threads};
-    const WeightFaultReport swept =
-        core::analyze_weight_faults(net, inputs, labels, config);
-    EXPECT_TRUE(swept.sweep.complete());
-    expect_same_weight_faults(direct, swept);
+  WeightFaultConfig batched_config = direct_config;
+  batched_config.batch = 0;
+  for (const std::size_t shard_size : {std::size_t{0}, std::size_t{5}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+      WeightFaultConfig config = batched_config;
+      config.sweep = SweepOptions{.shard_size = shard_size, .threads = threads};
+      const WeightFaultReport swept =
+          core::analyze_weight_faults(net, inputs, labels, config);
+      EXPECT_TRUE(swept.sweep.complete());
+      expect_same_weight_faults(direct, swept);
+    }
   }
 
   TempJournal journal("faults");
-  WeightFaultConfig partial = direct_config;
+  WeightFaultConfig partial = batched_config;
   partial.sweep = SweepOptions{.journal_path = journal.path,
                                .shard_size = 4,
                                .max_shards = 2};
@@ -484,7 +715,7 @@ TEST(SweepAnalyses, WeightFaultSweepMatchesDirectScanAndResumes) {
   EXPECT_FALSE(first.sweep.complete());
   EXPECT_EQ(first.sweep.units_executed, 8u);
 
-  WeightFaultConfig rest = direct_config;
+  WeightFaultConfig rest = batched_config;
   rest.sweep = SweepOptions{.journal_path = journal.path, .shard_size = 4};
   const WeightFaultReport resumed =
       core::analyze_weight_faults(net, inputs, labels, rest);

@@ -10,8 +10,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <thread>
 
@@ -451,25 +453,63 @@ TEST(QueryCacheTask, ResourceLimitedResultsAreNeverMemoized) {
 }
 
 TEST(Task, AnalysesRejectDeadlineCombinedWithSweep) {
-  // Journaled sweep rows must be time-independent to be resumable.
-  const core::Fannet fannet(shared_net());
-  la::Matrix<i64> inputs(1, 3);
-  inputs(0, 0) = 10;
-  inputs(0, 1) = 20;
-  inputs(0, 2) = 30;
-  const std::vector<int> labels = {0};
+  // Journaled sweep rows must be time-independent to be resumable, so a
+  // deadline is rejected together with a journal; an in-memory campaign
+  // accepts one and, when nothing expires, reports exactly what the
+  // un-budgeted run does.
+  const nn::QuantizedNetwork& net = shared_net();
+  const core::Fannet fannet(net);
+  la::Matrix<i64> inputs(3, 3);
+  std::vector<int> labels;
+  util::Rng rng(17);
+  for (std::size_t s = 0; s < inputs.rows(); ++s) {
+    for (std::size_t j = 0; j < inputs.cols(); ++j) {
+      inputs(s, j) = rng.uniform_int(1, 100);
+    }
+    labels.push_back(net.classify_noised(inputs.row(s), {}));
+  }
+  const std::string journal = (std::filesystem::temp_directory_path() /
+                               "fannet_deadline_never_written.jsonl")
+                                  .string();
+  std::filesystem::remove(journal);
+
   core::ToleranceConfig config;
-  config.deadline_ms = 5;
-  config.sweep = SweepOptions{};
-  EXPECT_THROW(
-      (void)fannet.analyze_tolerance(inputs, labels, config),
-      InvalidArgument);
+  config.start_range = 20;
+  config.threads = 2;
+  const core::ToleranceReport plain =
+      fannet.analyze_tolerance(inputs, labels, config);
+  config.deadline_ms = 60'000;
+  const core::ToleranceReport timed =
+      fannet.analyze_tolerance(inputs, labels, config);
+  EXPECT_EQ(timed.deadline_expired, 0u);
+  EXPECT_EQ(timed.noise_tolerance, plain.noise_tolerance);
+  EXPECT_EQ(timed.queries, plain.queries);
+  ASSERT_EQ(timed.per_sample.size(), plain.per_sample.size());
+  for (std::size_t s = 0; s < plain.per_sample.size(); ++s) {
+    EXPECT_EQ(timed.per_sample[s].min_flip_range,
+              plain.per_sample[s].min_flip_range);
+    EXPECT_EQ(timed.per_sample[s].witness, plain.per_sample[s].witness);
+  }
+  config.sweep.journal_path = journal;
+  EXPECT_THROW((void)fannet.analyze_tolerance(inputs, labels, config),
+               InvalidArgument);
+
   core::SensitivityConfig sense;
-  sense.deadline_ms = 5;
-  sense.sweep = SweepOptions{};
-  EXPECT_THROW((void)core::analyze_sensitivity(fannet, inputs, labels, 2, {},
+  sense.threads = 2;
+  const core::NodeSensitivityReport plain_sense =
+      core::analyze_sensitivity(fannet, inputs, labels, 20, {}, sense);
+  sense.deadline_ms = 60'000;
+  const core::NodeSensitivityReport timed_sense =
+      core::analyze_sensitivity(fannet, inputs, labels, 20, {}, sense);
+  EXPECT_EQ(timed_sense.deadline_expired, 0u);
+  EXPECT_EQ(timed_sense.positive_possible, plain_sense.positive_possible);
+  EXPECT_EQ(timed_sense.negative_possible, plain_sense.negative_possible);
+  EXPECT_EQ(timed_sense.solo_flip_range, plain_sense.solo_flip_range);
+  sense.sweep.journal_path = journal;
+  EXPECT_THROW((void)core::analyze_sensitivity(fannet, inputs, labels, 20, {},
                                                sense),
                InvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
 }  // namespace

@@ -259,8 +259,13 @@ core::CaseStudy build_cohort(const Options& opts) {
   return cs;
 }
 
+// One config builder per analysis, shared by the plain command and the
+// `sweep` branch: they differ only in the SweepOptions passed (empty for
+// the plain commands, which run their campaign in memory).
+
 core::ToleranceReport run_tolerance(const core::CaseStudy& cs,
-                                    const Options& opts) {
+                                    const Options& opts,
+                                    const verify::SweepOptions& sweep = {}) {
   core::ToleranceConfig config;
   config.start_range = opts.start_range;
   config.engine = core::Engine{opts.engine};
@@ -268,7 +273,36 @@ core::ToleranceReport run_tolerance(const core::CaseStudy& cs,
   config.intra_query_threads = opts.intra_threads;
   config.batch = opts.batch;
   config.deadline_ms = opts.deadline_ms;
+  config.sweep = sweep;
   return core::Fannet(cs.qnet).analyze_tolerance(cs.test_x, cs.test_y, config);
+}
+
+core::NodeSensitivityReport run_sensitivity(
+    const core::CaseStudy& cs, const Options& opts,
+    const std::vector<core::CorpusEntry>& corpus,
+    const verify::SweepOptions& sweep = {}) {
+  core::SensitivityConfig config;
+  config.engine = core::Engine{opts.engine};
+  config.threads = opts.threads;
+  config.intra_query_threads = opts.intra_threads;
+  config.batch = opts.batch;
+  config.deadline_ms = opts.deadline_ms;
+  config.sweep = sweep;
+  return core::analyze_sensitivity(core::Fannet(cs.qnet), cs.test_x,
+                                   cs.test_y, opts.range, corpus, config);
+}
+
+core::WeightFaultReport run_weight_faults(
+    const core::CaseStudy& cs, const Options& opts,
+    const verify::SweepOptions& sweep = {}) {
+  core::WeightFaultConfig config;
+  config.max_percent = opts.range;
+  config.step = opts.step;
+  config.threads = opts.threads;
+  config.model = opts.fault_model;
+  config.batch = opts.batch;
+  config.sweep = sweep;
+  return core::analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
 }
 
 void print_tolerance_table(const core::ToleranceReport& report,
@@ -322,9 +356,12 @@ int run_command(const Options& opts, util::BenchJson& json) {
   }
   if (opts.deadline_ms != 0 && opts.command != "tolerance" &&
       opts.command != "boundary" && opts.command != "sensitivity") {
-    // sweep: journaled shard rows must be time-independent (the analyses
-    // reject the combination too); bias / weight-faults never dispatch
-    // through the deadline-aware scheduler path.
+    // sweep: an in-memory campaign accepts a deadline (that is how the
+    // plain commands run), but a journal's shard rows must stay
+    // time-independent, so the analyses reject a deadline together with a
+    // journal and the journal-oriented `sweep` refuses the flag outright.
+    // bias / weight-faults never dispatch through the deadline-aware
+    // scheduler.
     usage_error("--deadline-ms is not supported by " + opts.command);
   }
   if (opts.command == "sweep" && opts.max_shards != 0 && opts.journal.empty()) {
@@ -371,26 +408,13 @@ int run_command(const Options& opts, util::BenchJson& json) {
     const auto corpus =
         fannet.extract_corpus(cs.test_x, cs.test_y, opts.range,
                               opts.max_per_sample, false, opts.threads);
-    core::SensitivityConfig config;
-    config.engine = core::Engine{opts.engine};
-    config.threads = opts.threads;
-    config.intra_query_threads = opts.intra_threads;
-    config.batch = opts.batch;
-    config.deadline_ms = opts.deadline_ms;
-    const core::NodeSensitivityReport report = core::analyze_sensitivity(
-        fannet, cs.test_x, cs.test_y, opts.range, corpus, config);
+    const core::NodeSensitivityReport report =
+        run_sensitivity(cs, opts, corpus);
     std::fputs(core::format_sensitivity(report).c_str(), stdout);
     json.add("sensitivity_analysis", watch.millis(), corpus.size(), threads);
     deadline_expired = report.deadline_expired;
   } else if (opts.command == "weight-faults") {
-    core::WeightFaultConfig config;
-    config.max_percent = opts.range;
-    config.step = opts.step;
-    config.threads = opts.threads;
-    config.model = opts.fault_model;
-    config.batch = opts.batch;
-    const core::WeightFaultReport report =
-        core::analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
+    const core::WeightFaultReport report = run_weight_faults(cs, opts);
     std::fputs(core::format_weight_faults(report).c_str(), stdout);
     json.add("weight_fault_analysis", watch.millis(), report.evaluations,
              threads);
@@ -403,25 +427,11 @@ int run_command(const Options& opts, util::BenchJson& json) {
 
     verify::SweepProgress progress;
     if (opts.analysis == "tolerance") {
-      core::ToleranceConfig config;
-      config.start_range = opts.start_range;
-      config.engine = core::Engine{opts.engine};
-      config.threads = opts.threads;
-      config.intra_query_threads = opts.intra_threads;
-      config.batch = opts.batch;
-      config.sweep = sweep;
-      const core::ToleranceReport report =
-          fannet.analyze_tolerance(cs.test_x, cs.test_y, config);
+      const core::ToleranceReport report = run_tolerance(cs, opts, sweep);
       progress = report.sweep;
       if (progress.complete()) print_tolerance_table(report, opts);
       json.add("sweep_tolerance", watch.millis(), report.queries, threads);
     } else if (opts.analysis == "sensitivity") {
-      core::SensitivityConfig config;
-      config.engine = core::Engine{opts.engine};
-      config.threads = opts.threads;
-      config.intra_query_threads = opts.intra_threads;
-      config.batch = opts.batch;
-      config.sweep = sweep;
       // Only the probe fan-out is journaled; the corpus exists just for
       // the final report's histograms.  Journal-backed (possibly chunked)
       // runs therefore probe first with an empty corpus — intermediate
@@ -435,11 +445,9 @@ int run_command(const Options& opts, util::BenchJson& json) {
             fannet.extract_corpus(cs.test_x, cs.test_y, opts.range,
                                   opts.max_per_sample, false, opts.threads);
         corpus_size = corpus.size();
-        report = core::analyze_sensitivity(fannet, cs.test_x, cs.test_y,
-                                           opts.range, corpus, config);
+        report = run_sensitivity(cs, opts, corpus, sweep);
       } else {
-        report = core::analyze_sensitivity(fannet, cs.test_x, cs.test_y,
-                                           opts.range, {}, config);
+        report = run_sensitivity(cs, opts, {}, sweep);
         // The probe pass's progress reflects this invocation's real work;
         // the re-aggregation below answers every shard from the journal.
         progress = report.sweep;
@@ -448,8 +456,7 @@ int run_command(const Options& opts, util::BenchJson& json) {
               fannet.extract_corpus(cs.test_x, cs.test_y, opts.range,
                                     opts.max_per_sample, false, opts.threads);
           corpus_size = corpus.size();
-          report = core::analyze_sensitivity(fannet, cs.test_x, cs.test_y,
-                                             opts.range, corpus, config);
+          report = run_sensitivity(cs, opts, corpus, sweep);
         }
       }
       if (opts.journal.empty()) progress = report.sweep;
@@ -458,15 +465,8 @@ int run_command(const Options& opts, util::BenchJson& json) {
       }
       json.add("sweep_sensitivity", watch.millis(), corpus_size, threads);
     } else {  // weight-faults, validated above
-      core::WeightFaultConfig config;
-      config.max_percent = opts.range;
-      config.step = opts.step;
-      config.threads = opts.threads;
-      config.model = opts.fault_model;
-      config.batch = opts.batch;
-      config.sweep = sweep;
       const core::WeightFaultReport report =
-          core::analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
+          run_weight_faults(cs, opts, sweep);
       progress = report.sweep;
       if (progress.complete()) {
         std::fputs(core::format_weight_faults(report).c_str(), stdout);
