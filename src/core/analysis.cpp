@@ -1,6 +1,7 @@
 #include "core/analysis.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "util/error.hpp"
 #include "verify/engine.hpp"
@@ -10,7 +11,9 @@ namespace fannet::core {
 
 using util::i64;
 using verify::NoiseBox;
+using verify::Query;
 using verify::Verdict;
+using verify::VerifyResult;
 
 BiasReport analyze_bias(const std::vector<CorpusEntry>& corpus,
                         std::size_t num_labels,
@@ -66,67 +69,6 @@ BiasReport analyze_bias(const std::vector<CorpusEntry>& corpus,
 
 namespace {
 
-/// Directional existence probe: is there ANY counterexample with delta at
-/// `node` strictly of `sign` while the other nodes roam ±range?  The
-/// correct samples are probed in order and the first vulnerable one
-/// decides, so the answer is a pure function of the campaign.
-bool directional_possible(const Fannet& fannet,
-                          const verify::Scheduler& scheduler,
-                          const verify::Engine& engine,
-                          const la::Matrix<i64>& inputs,
-                          const std::vector<int>& labels,
-                          const std::vector<std::size_t>& correct,
-                          std::size_t node, int sign, int range) {
-  const std::size_t n = inputs.cols();
-  NoiseBox box = NoiseBox::symmetric(n, range);
-  if (sign > 0) box.lo[node] = 1; else box.hi[node] = -1;
-  if (box.lo[node] > box.hi[node]) return false;  // range 0: no strict direction
-  for (const std::size_t s : correct) {
-    if (scheduler
-            .verify_one(fannet.make_query(inputs.row(s), labels[s], box, false),
-                        engine)
-            .verdict == Verdict::kVulnerable) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Eq.-3 solo probe: the minimal |delta_node| that flips
-/// `row` when ONLY that node is noised, found by one existence query at the
-/// full range plus a bisection; nullopt when the node never flips it.
-std::optional<int> solo_flip(const Fannet& fannet,
-                             const verify::Scheduler& scheduler,
-                             const verify::Engine& engine,
-                             std::span<const i64> row, int label,
-                             std::size_t node, std::size_t n, int range) {
-  NoiseBox solo;
-  solo.lo.assign(n, 0);
-  solo.hi.assign(n, 0);
-  solo.lo[node] = -range;
-  solo.hi[node] = range;
-  const auto r =
-      scheduler.verify_one(fannet.make_query(row, label, solo, false), engine);
-  if (r.verdict != Verdict::kVulnerable) return std::nullopt;
-  const int flip_at = std::max(std::abs(r.counterexample->deltas[node]), 1);
-  // Tighten: find the minimal |delta_node| that flips via bisection.
-  int lo = 1, hi = flip_at;
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    NoiseBox probe = solo;
-    probe.lo[node] = -mid;
-    probe.hi[node] = mid;
-    if (scheduler
-            .verify_one(fannet.make_query(row, label, probe, false), engine)
-            .verdict == Verdict::kVulnerable) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
 /// Sweep decomposition of analyze_sensitivity's probes (DESIGN.md §9).
 /// Unit order: the 2n directional probes first (unit 2i = node i positive,
 /// 2i+1 = node i negative), then the n*|correct| Eq.-3 solo bisections
@@ -177,24 +119,23 @@ class SensitivityCampaign final : public verify::SweepCampaign {
 
   [[nodiscard]] verify::SweepRows run_units(std::size_t begin,
                                             std::size_t end) const override {
+    const Decide decide = [this](const Query& q) {
+      return scheduler_.verify_one(q, engine_);
+    };
     const std::size_t n = inputs_.cols();
     verify::SweepRows rows;
     rows.reserve(end - begin);
     for (std::size_t u = begin; u < end; ++u) {
       if (u < 2 * n) {
-        const std::size_t node = u / 2;
-        const int sign = (u % 2 == 0) ? +1 : -1;
-        const bool possible =
-            directional_possible(fannet_, scheduler_, engine_, inputs_,
-                                 labels_, correct_, node, sign, range_);
+        const bool possible = directional_possible(u / 2,
+                                                   u % 2 == 0 ? +1 : -1,
+                                                   decide);
         rows.push_back({static_cast<std::int64_t>(u), possible ? 1 : 0});
       } else {
         const std::size_t task = u - 2 * n;
-        const std::size_t node = task % n;
         const std::size_t s = correct_[task / n];
-        const std::optional<int> flip =
-            solo_flip(fannet_, scheduler_, engine_, inputs_.row(s), labels_[s],
-                      node, n, range_);
+        const std::optional<int> flip = solo_flip(
+            fannet_, inputs_.row(s), labels_[s], task % n, range_, decide);
         rows.push_back(
             {static_cast<std::int64_t>(u), flip ? *flip : std::int64_t{-1}});
       }
@@ -227,6 +168,19 @@ class SensitivityCampaign final : public verify::SweepCampaign {
   }
 
  private:
+  /// The correct samples are probed in order and the first vulnerable one
+  /// decides, so the answer is a pure function of the campaign.
+  bool directional_possible(std::size_t node, int sign,
+                            const Decide& decide) const {
+    for (const std::size_t s : correct_) {
+      const std::optional<VerifyResult> r = directional_probe(
+          fannet_, inputs_.row(s), labels_[s], node, sign, range_, decide);
+      if (!r.has_value()) return false;  // range 0: no strict direction
+      if (r->verdict == Verdict::kVulnerable) return true;
+    }
+    return false;
+  }
+
   const Fannet& fannet_;
   const la::Matrix<i64>& inputs_;
   const std::vector<int>& labels_;
@@ -239,6 +193,43 @@ class SensitivityCampaign final : public verify::SweepCampaign {
 };
 
 }  // namespace
+
+std::optional<VerifyResult> directional_probe(const Fannet& fannet,
+                                              std::span<const i64> x,
+                                              int label, std::size_t node,
+                                              int sign, int range,
+                                              const Decide& decide) {
+  NoiseBox box = NoiseBox::symmetric(x.size(), range);
+  if (sign > 0) box.lo[node] = 1; else box.hi[node] = -1;
+  if (box.lo[node] > box.hi[node]) return std::nullopt;
+  return decide(fannet.make_query(x, label, box, false));
+}
+
+std::optional<int> solo_flip(const Fannet& fannet, std::span<const i64> x,
+                             int label, std::size_t node, int range,
+                             const Decide& decide) {
+  NoiseBox solo;
+  solo.lo.assign(x.size(), 0);
+  solo.hi.assign(x.size(), 0);
+  solo.lo[node] = -range;
+  solo.hi[node] = range;
+  const VerifyResult r = decide(fannet.make_query(x, label, solo, false));
+  if (r.verdict != Verdict::kVulnerable) return std::nullopt;
+  // Tighten: find the minimal |delta_node| that flips via bisection.
+  int lo = 1, hi = std::max(std::abs(r.counterexample->deltas[node]), 1);
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    solo.lo[node] = -mid;
+    solo.hi[node] = mid;
+    if (decide(fannet.make_query(x, label, solo, false)).verdict ==
+        Verdict::kVulnerable) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
 
 NodeSensitivityReport analyze_sensitivity(
     const Fannet& fannet, const la::Matrix<i64>& inputs,

@@ -103,6 +103,22 @@ struct SensitivityConfig {
     const std::vector<CorpusEntry>& corpus,
     const SensitivityConfig& config = {});
 
+/// Directional existence probe for one sample: is there a counterexample
+/// with delta at `node` strictly of `sign` while the other nodes roam
+/// ±range?  Returns the probe's result, or nullopt at range 0 (no strictly
+/// signed delta fits).
+[[nodiscard]] std::optional<verify::VerifyResult> directional_probe(
+    const Fannet& fannet, std::span<const util::i64> x, int label,
+    std::size_t node, int sign, int range, const Decide& decide);
+
+/// Eq.-3 solo probe: the minimal |delta_node| that flips `x` when ONLY that
+/// node is noised, found by one existence query at ±range plus a
+/// bisection; nullopt when the node never flips it.
+[[nodiscard]] std::optional<int> solo_flip(const Fannet& fannet,
+                                           std::span<const util::i64> x,
+                                           int label, std::size_t node,
+                                           int range, const Decide& decide);
+
 // ---------------------------------------------------------------------------
 // Classification-boundary proximity (paper §V-C.2): the distribution of
 // per-sample minimal flipping ranges separates inputs near the boundary

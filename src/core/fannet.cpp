@@ -21,65 +21,8 @@ std::string to_string(Engine e) { return e.name; }
 
 namespace {
 
-/// Per-sample range descent: given the start-range screen result (must be
-/// kVulnerable), finds the minimal flipping range and its witness.
-/// `queries` counts the descent probes only (the screen is accounted
-/// separately, once per correct sample).
-struct DescentOutcome {
-  std::optional<int> min_flip_range;
-  std::optional<Counterexample> witness;
-  std::uint64_t queries = 0;
-};
-
-DescentOutcome descend_sample(const Fannet& fannet,
-                              const verify::Scheduler& scheduler,
-                              const verify::Engine& engine,
-                              std::span<const i64> row, int label,
-                              const ToleranceConfig& config,
-                              const VerifyResult& at_max) {
-  DescentOutcome out;
-  const auto flips_at = [&](int range) {
-    ++out.queries;
-    const std::size_t dims = row.size() + (config.bias_node ? 1 : 0);
-    return scheduler.verify_one(
-        fannet.make_query(row, label, NoiseBox::symmetric(dims, range),
-                          config.bias_node),
-        engine);
-  };
-  if (config.descent == ToleranceConfig::Descent::kBinary) {
-    int lo = 1, hi = config.start_range;
-    std::optional<Counterexample> witness = at_max.counterexample;
-    while (lo < hi) {
-      const int mid = lo + (hi - lo) / 2;
-      VerifyResult r = flips_at(mid);
-      if (r.verdict == Verdict::kVulnerable) {
-        witness = r.counterexample;
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
-    }
-    out.min_flip_range = lo;
-    out.witness = witness;
-  } else {
-    // The paper's loop: start large, reduce until no counterexample.
-    std::optional<int> min_flip = config.start_range;
-    std::optional<Counterexample> witness = at_max.counterexample;
-    for (int range = config.start_range - 1; range >= 1; --range) {
-      VerifyResult r = flips_at(range);
-      if (r.verdict != Verdict::kVulnerable) break;
-      min_flip = range;
-      witness = r.counterexample;
-    }
-    out.min_flip_range = min_flip;
-    out.witness = witness;
-  }
-  return out;
-}
-
 /// Sweep decomposition of analyze_tolerance (DESIGN.md §9): one work unit
-/// per correctly-classified sample — its start-range screen plus, when
-/// vulnerable, the full range descent.  Unit rows:
+/// per correctly-classified sample — its descend_sample chain.  Unit rows:
 ///
 ///   survivor:   [sample, 0, descent_queries]
 ///   vulnerable: [sample, 1, descent_queries, min_flip_range, mis_label,
@@ -113,7 +56,7 @@ class ToleranceCampaign final : public verify::SweepCampaign {
     fp.mix_u64(fannet_.net().fingerprint());
     fp.mix_i64(config_.start_range);
     fp.mix_u64(config_.bias_node ? 1 : 0);
-    fp.mix_u64(static_cast<std::uint64_t>(config_.descent));
+    fp.mix_u64(0);  // the retired descent-policy slot: old journals resume
     fp.mix_bytes(config_.engine.name);
     verify::mix_dataset(fp, inputs_, labels_);
     return fp.value();
@@ -123,28 +66,25 @@ class ToleranceCampaign final : public verify::SweepCampaign {
 
   [[nodiscard]] verify::SweepRows run_units(std::size_t begin,
                                             std::size_t end) const override {
+    const Decide decide = [this](const Query& q) {
+      return scheduler_.verify_one(q, engine_);
+    };
     verify::SweepRows rows;
     rows.reserve(end - begin);
     for (std::size_t u = begin; u < end; ++u) {
       const std::size_t s = correct_[u];
-      const auto row = inputs_.row(s);
-      const std::size_t dims = row.size() + (config_.bias_node ? 1 : 0);
-      const VerifyResult at_max = scheduler_.verify_one(
-          fannet_.make_query(row, labels_[s],
-                             NoiseBox::symmetric(dims, config_.start_range),
-                             config_.bias_node),
-          engine_);
-      if (at_max.verdict != Verdict::kVulnerable) {
-        // Monotonicity (a counterexample in ±R stays available in every
-        // ±R' > R): a start-range survivor needs no descent.
-        rows.push_back({static_cast<std::int64_t>(s), 0, 0});
+      const DescentOutcome outcome =
+          descend_sample(fannet_, inputs_.row(s), labels_[s],
+                         config_.start_range, config_.bias_node, decide);
+      // The row counts the descent probes; absorb adds the screen back.
+      const auto descent_queries =
+          static_cast<std::int64_t>(outcome.queries - 1);
+      if (!outcome.min_flip_range.has_value()) {
+        rows.push_back({static_cast<std::int64_t>(s), 0, descent_queries});
         continue;
       }
-      const DescentOutcome outcome = descend_sample(
-          fannet_, scheduler_, engine_, row, labels_[s], config_, at_max);
       std::vector<std::int64_t> unit{
-          static_cast<std::int64_t>(s), 1,
-          static_cast<std::int64_t>(outcome.queries),
+          static_cast<std::int64_t>(s), 1, descent_queries,
           *outcome.min_flip_range, outcome.witness->mis_label,
           outcome.witness->bias_delta};
       for (const int delta : outcome.witness->deltas) unit.push_back(delta);
@@ -195,6 +135,35 @@ class ToleranceCampaign final : public verify::SweepCampaign {
 };
 
 }  // namespace
+
+DescentOutcome descend_sample(const Fannet& fannet, std::span<const i64> x,
+                              int label, int start_range, bool bias_node,
+                              const Decide& decide) {
+  DescentOutcome out;
+  const std::size_t dims = x.size() + (bias_node ? 1 : 0);
+  const auto flips_at = [&](int range) {
+    ++out.queries;
+    return decide(fannet.make_query(x, label, NoiseBox::symmetric(dims, range),
+                                    bias_node));
+  };
+  VerifyResult r = flips_at(start_range);
+  if (r.verdict != Verdict::kVulnerable) return out;
+  std::optional<Counterexample> witness = std::move(r.counterexample);
+  int lo = 1, hi = start_range;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    r = flips_at(mid);
+    if (r.verdict == Verdict::kVulnerable) {
+      witness = std::move(r.counterexample);
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  out.min_flip_range = lo;
+  out.witness = std::move(witness);
+  return out;
+}
 
 Query Fannet::make_query(std::span<const i64> x, int true_label,
                          const NoiseBox& box, bool bias_node) const {

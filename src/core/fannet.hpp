@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -53,9 +54,6 @@ struct ToleranceConfig {
   /// Portfolio default: sound-only screens, complete B&B only on kUnknown.
   Engine engine = Engine::kCascade;
   bool bias_node = false;
-  /// kBinary: bisection on the per-sample minimal flipping range.
-  /// kLinear: the paper's iterative noise reduction (same result, slower).
-  enum class Descent : std::uint8_t { kBinary, kLinear } descent = Descent::kBinary;
   /// Worker threads for the campaign's shard fan-out when `sweep.threads`
   /// is 0 (0 = hardware concurrency, 1 = serial).  Results are identical
   /// for every thread count.
@@ -170,5 +168,30 @@ class Fannet {
  private:
   const nn::QuantizedNetwork* net_;
 };
+
+/// One P2 decision, supplied by whoever runs a probe chain: the analyses'
+/// sweep campaigns pass their shard scheduler's `verify_one`, `fannet_serve`
+/// its request dispatch (so the request's deadline, cancellation and worker
+/// grant reach every probe).  The chains below are the only implementation
+/// of each probe sequence.
+using Decide = std::function<verify::VerifyResult(const verify::Query&)>;
+
+/// One sample's tolerance probe chain.
+struct DescentOutcome {
+  /// Smallest range ±R with a counterexample; nullopt when the start-range
+  /// screen finds none.
+  std::optional<int> min_flip_range;
+  std::optional<verify::Counterexample> witness;  ///< found at min_flip_range
+  std::uint64_t queries = 0;  ///< probes decided, the screen included
+};
+
+/// The start-range screen plus, when it flips, the binary descent on the
+/// minimal flipping range (monotone: a counterexample in ±R stays available
+/// in every ±R' > R).  `x` must be correctly classified without noise.
+[[nodiscard]] DescentOutcome descend_sample(const Fannet& fannet,
+                                            std::span<const util::i64> x,
+                                            int label, int start_range,
+                                            bool bias_node,
+                                            const Decide& decide);
 
 }  // namespace fannet::core

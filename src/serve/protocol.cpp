@@ -240,6 +240,16 @@ std::string make_progress(std::uint64_t id, std::size_t done,
   return obj.dump();
 }
 
+Json counterexample_json(const verify::Counterexample& cex) {
+  Json deltas = Json::array();
+  for (const int d : cex.deltas) deltas.push_back(Json::integer(d));
+  Json obj = Json::object();
+  obj.set("deltas", std::move(deltas));
+  obj.set("bias_delta", Json::integer(cex.bias_delta));
+  obj.set("mis_label", Json::integer(cex.mis_label));
+  return obj;
+}
+
 Json verify_result_json(const verify::VerifyResult& result,
                         std::optional<bool> cache_hit) {
   Json obj = Json::object();
@@ -251,15 +261,7 @@ Json verify_result_json(const verify::VerifyResult& result,
   if (cache_hit.has_value()) obj.set("cache_hit", Json::boolean(*cache_hit));
   obj.set("resource_limited", Json::boolean(result.resource_limited));
   if (result.counterexample.has_value()) {
-    Json cex = Json::object();
-    Json deltas = Json::array();
-    for (const int d : result.counterexample->deltas) {
-      deltas.push_back(Json::integer(d));
-    }
-    cex.set("deltas", std::move(deltas));
-    cex.set("bias_delta", Json::integer(result.counterexample->bias_delta));
-    cex.set("mis_label", Json::integer(result.counterexample->mis_label));
-    obj.set("counterexample", std::move(cex));
+    obj.set("counterexample", counterexample_json(*result.counterexample));
   }
   return obj;
 }

@@ -85,7 +85,7 @@ struct Request {
   RequestBox box;                ///< verify / sensitivity range
   std::vector<RequestBox> items; ///< batch: one box per item (same x/label)
   std::uint64_t deadline_ms = 0; ///< per-request deadline; 0 = server default
-  std::size_t progress_every = 0;  ///< batch/tolerance progress cadence
+  std::size_t progress_every = 0;  ///< batch progress cadence
   int start_range = 50;          ///< tolerance descent start
   std::size_t node = 0;          ///< sensitivity probe node
   int direction = 0;             ///< sensitivity: +1 / -1 directional, 0 solo
@@ -108,6 +108,10 @@ struct Request {
                                      std::uint64_t retry_after_ms = 0);
 [[nodiscard]] std::string make_progress(std::uint64_t id, std::size_t done,
                                         std::size_t total);
+
+/// One counterexample as `{deltas, bias_delta, mis_label}` (a verify
+/// result's `counterexample`, a tolerance result's `witness`).
+[[nodiscard]] Json counterexample_json(const verify::Counterexample& cex);
 
 /// One VerifyResult as a JSON object value (shared by `result` frames for
 /// verify / batch / sensitivity).  `cache_hit` is emitted only when known

@@ -8,11 +8,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <span>
 #include <utility>
 
+#include "core/analysis.hpp"
 #include "core/fannet.hpp"
 #include "core/faults.hpp"
 #include "util/error.hpp"
@@ -122,35 +123,93 @@ struct Server::Session {
   std::atomic<bool> finished{false};  ///< both loops done (reap signal)
 };
 
-/// Registers `control` as the session's in-flight batch for its lifetime.
-/// Registration and the disconnect check happen under one lock, so a
-/// disconnect always lands: either the reader sees `active` and cancels it
-/// directly, or this constructor sees `disconnected` and self-cancels.
-class Server::ActiveControl {
+/// The execution context of one request that dispatches an engine (verify,
+/// batch, tolerance, sensitivity), alive for the request's lifetime.  It
+/// holds the request's worker grant and registers the request's
+/// BatchControl on its session, so the reader's disconnect cancel reaches
+/// every query the request decides.  Registration and the disconnect check
+/// happen under one lock, so a disconnect always lands: either the reader
+/// sees `active` and cancels it directly, or the constructor sees
+/// `disconnected` and self-cancels.  Every query is decided by a `run_all`
+/// under that control on a grant-sized scheduler, so a one-query dispatch
+/// (a verify request, each tolerance or sensitivity probe) hands the whole
+/// grant to its engine.  The request's cache and deadline counts reach the
+/// server counters when it ends, before its result frame is written.
+class Server::Dispatch {
  public:
-  ActiveControl(Server& server, Session& session,
-                verify::BatchControl& control)
-      : session_(session) {
+  Dispatch(Server& server, Session& session, const Request& request,
+           const verify::Engine& engine)
+      : server_(server),
+        session_(session),
+        engine_(engine),
+        grant_(server.acquire_grant()),
+        scheduler_({.threads = grant_,
+                    .cache = server.options_.cache,
+                    .deadline_ms = request.deadline_ms != 0
+                                       ? request.deadline_ms
+                                       : server.options_.default_deadline_ms,
+                    .step_work = server.options_.step_work}) {
     const util::MutexLock lock(session_.mutex);
-    session_.active = &control;
+    session_.active = &control_;
     if (session_.disconnected || session_.peer_gone) {
       // The client vanished while this request waited for a worker grant:
       // the reader found no active control to cancel, so the disconnect is
       // accounted for here instead (the two paths are disjoint — the
       // reader only counts when `active` was already registered).
-      control.cancel();
-      server.cancelled_disconnect_.fetch_add(1, std::memory_order_relaxed);
+      control_.cancel();
+      server_.cancelled_disconnect_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  ~ActiveControl() {
-    const util::MutexLock lock(session_.mutex);
-    session_.active = nullptr;
+  ~Dispatch() {
+    {
+      const util::MutexLock lock(session_.mutex);
+      session_.active = nullptr;
+    }
+    server_.budget_->release(grant_);
+    server_.cache_hits_.fetch_add(hits_, std::memory_order_relaxed);
+    server_.cache_misses_.fetch_add(misses_, std::memory_order_relaxed);
+    server_.deadline_expired_.fetch_add(expired_, std::memory_order_relaxed);
   }
-  ActiveControl(const ActiveControl&) = delete;
-  ActiveControl& operator=(const ActiveControl&) = delete;
+  Dispatch(const Dispatch&) = delete;
+  Dispatch& operator=(const Dispatch&) = delete;
+
+  /// Decides `queries` as one batch under the request's control.
+  [[nodiscard]] std::vector<VerifyResult> run(std::span<const Query> queries) {
+    verify::BatchStats stats;
+    std::vector<VerifyResult> results =
+        scheduler_.run_all(queries, engine_, &stats, &control_);
+    hits_ += stats.cache_hits;
+    misses_ += stats.cache_misses;
+    expired_ += stats.deadline_expired;
+    return results;
+  }
+
+  /// Decides one query: the `core::Decide` of the core probe chains.
+  [[nodiscard]] core::Decide decider() {
+    return [this](const Query& query) {
+      return run(std::span<const Query>(&query, 1)).front();
+    };
+  }
+
+  [[nodiscard]] bool cancelled() const noexcept {
+    return control_.cancelled();
+  }
+  [[nodiscard]] std::uint64_t cache_hits() const noexcept { return hits_; }
+  [[nodiscard]] std::uint64_t cache_misses() const noexcept {
+    return misses_;
+  }
+  [[nodiscard]] std::uint64_t deadline_expired() const noexcept {
+    return expired_;
+  }
 
  private:
+  Server& server_;
   Session& session_;
+  const verify::Engine& engine_;
+  const std::size_t grant_;
+  verify::BatchControl control_;
+  const verify::Scheduler scheduler_;
+  std::uint64_t hits_ = 0, misses_ = 0, expired_ = 0;
 };
 
 Server::Server(std::vector<ServeModel> fleet, ServeOptions options)
@@ -411,17 +470,6 @@ void Server::worker_loop(Session& session) {
   session.finished.store(true, std::memory_order_release);
 }
 
-verify::SchedulerOptions Server::scheduler_options(
-    std::size_t grant, const Request& request) const {
-  verify::SchedulerOptions opts;
-  opts.threads = grant;
-  opts.cache = options_.cache;
-  opts.deadline_ms = request.deadline_ms != 0 ? request.deadline_ms
-                                              : options_.default_deadline_ms;
-  opts.step_work = options_.step_work;
-  return opts;
-}
-
 const ServeModel& Server::model_or_throw(const std::string& name) const {
   for (const ServeModel& model : fleet_) {
     if (model.name == name) return model;
@@ -524,32 +572,14 @@ Json Server::handle_verify(Session& session, const Request& request) {
       resolve_box(request.box, request.x.size() + (request.bias_node ? 1 : 0)),
       request.bias_node);
 
-  const std::size_t grant = acquire_grant();
-  verify::BatchControl control;
-  verify::BatchStats stats;
-  std::vector<VerifyResult> results;
-  try {
-    const ActiveControl scoped(*this, session, control);
-    const verify::Scheduler scheduler(scheduler_options(grant, request));
-    results = scheduler.run_all(std::span<const Query>(&query, 1), eng,
-                                &stats, &control);
-  } catch (...) {
-    budget_->release(grant);
-    throw;
-  }
-  budget_->release(grant);
-
-  cache_hits_.fetch_add(stats.cache_hits, std::memory_order_relaxed);
-  cache_misses_.fetch_add(stats.cache_misses, std::memory_order_relaxed);
-  deadline_expired_.fetch_add(stats.deadline_expired,
-                              std::memory_order_relaxed);
-
-  Json body = verify_result_json(results.at(0), stats.cache_hits == 1);
+  Dispatch dispatch(*this, session, request, eng);
+  const VerifyResult result =
+      dispatch.run(std::span<const Query>(&query, 1)).front();
+  Json body = verify_result_json(result, dispatch.cache_hits() == 1);
   body.set("model", Json::string(request.model));
   body.set("engine", Json::string(request.engine));
-  body.set("deadline_expired",
-           Json::boolean(stats.deadline_expired > 0));
-  body.set("cancelled", Json::boolean(control.cancelled()));
+  body.set("deadline_expired", Json::boolean(dispatch.deadline_expired() > 0));
+  body.set("cancelled", Json::boolean(dispatch.cancelled()));
   return body;
 }
 
@@ -568,57 +598,34 @@ Json Server::handle_batch(Session& session, const Request& request) {
                                         request.bias_node));
   }
 
-  const std::size_t grant = acquire_grant();
-  verify::BatchControl control;
-
+  Dispatch dispatch(*this, session, request, eng);
   Json items = Json::array();
-  std::uint64_t hits = 0, misses = 0, expired = 0;
-  std::size_t executed = 0;
-  try {
-    const ActiveControl scoped(*this, session, control);
-    const verify::Scheduler scheduler(scheduler_options(grant, request));
-    // Chunked execution so long sweeps can stream progress frames between
-    // scheduler calls; chunking never changes the per-item results (each
-    // query is independent and results are slot-addressed).
-    const std::size_t chunk = request.progress_every != 0
-                                  ? request.progress_every
-                                  : queries.size();
-    for (std::size_t begin = 0; begin < queries.size(); begin += chunk) {
-      const std::size_t count = std::min(chunk, queries.size() - begin);
-      verify::BatchStats stats;
-      const std::vector<VerifyResult> results = scheduler.run_all(
-          std::span<const Query>(queries.data() + begin, count), eng, &stats,
-          &control);
-      for (const VerifyResult& r : results) {
-        items.push_back(verify_result_json(r));
+  // Chunked execution so long sweeps can stream progress frames between
+  // scheduler calls; chunking never changes the per-item results (each
+  // query is independent and results are slot-addressed).
+  const std::size_t chunk = request.progress_every != 0
+                                ? request.progress_every
+                                : queries.size();
+  for (std::size_t begin = 0; begin < queries.size(); begin += chunk) {
+    const std::size_t count = std::min(chunk, queries.size() - begin);
+    for (const VerifyResult& r : dispatch.run(
+             std::span<const Query>(queries.data() + begin, count))) {
+      items.push_back(verify_result_json(r));
+    }
+    const std::size_t done = begin + count;
+    if (request.progress_every != 0 && done < queries.size()) {
+      bool gone;
+      {
+        const util::MutexLock lock(session.mutex);
+        gone = session.peer_gone;
       }
-      hits += stats.cache_hits;
-      misses += stats.cache_misses;
-      expired += stats.deadline_expired;
-      executed += stats.executed;
-      const std::size_t done = begin + count;
-      if (request.progress_every != 0 && done < queries.size()) {
-        bool gone;
-        {
-          const util::MutexLock lock(session.mutex);
-          gone = session.peer_gone;
-        }
-        if (!gone &&
-            write_frame(session.fd,
-                        make_progress(request.id, done, queries.size()))) {
-          progress_frames_.fetch_add(1, std::memory_order_relaxed);
-        }
+      if (!gone &&
+          write_frame(session.fd,
+                      make_progress(request.id, done, queries.size()))) {
+        progress_frames_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-  } catch (...) {
-    budget_->release(grant);
-    throw;
   }
-  budget_->release(grant);
-
-  cache_hits_.fetch_add(hits, std::memory_order_relaxed);
-  cache_misses_.fetch_add(misses, std::memory_order_relaxed);
-  deadline_expired_.fetch_add(expired, std::memory_order_relaxed);
 
   Json body = Json::object();
   body.set("model", Json::string(request.model));
@@ -627,12 +634,13 @@ Json Server::handle_batch(Session& session, const Request& request) {
   Json stats = Json::object();
   stats.set("queries",
             Json::integer(static_cast<std::int64_t>(queries.size())));
-  stats.set("executed", Json::integer(static_cast<std::int64_t>(executed)));
-  stats.set("cache_hits", Json::integer(static_cast<std::int64_t>(hits)));
-  stats.set("cache_misses", Json::integer(static_cast<std::int64_t>(misses)));
-  stats.set("deadline_expired",
-            Json::integer(static_cast<std::int64_t>(expired)));
-  stats.set("cancelled", Json::boolean(control.cancelled()));
+  stats.set("cache_hits",
+            Json::integer(static_cast<std::int64_t>(dispatch.cache_hits())));
+  stats.set("cache_misses",
+            Json::integer(static_cast<std::int64_t>(dispatch.cache_misses())));
+  stats.set("deadline_expired", Json::integer(static_cast<std::int64_t>(
+                                    dispatch.deadline_expired())));
+  stats.set("cancelled", Json::boolean(dispatch.cancelled()));
   body.set("stats", std::move(stats));
   return body;
 }
@@ -644,87 +652,39 @@ Json Server::handle_tolerance(Session& session, const Request& request) {
   const std::size_t dims =
       request.x.size() + (request.bias_node ? 1 : 0);
 
-  const std::size_t grant = acquire_grant();
-  verify::BatchControl control;
-
+  Dispatch dispatch(*this, session, request, eng);
   Json body = Json::object();
   body.set("model", Json::string(request.model));
   body.set("engine", Json::string(request.engine));
-  std::uint64_t probes = 0, hits = 0;
-  try {
-    const ActiveControl scoped(*this, session, control);
-    const verify::Scheduler scheduler(scheduler_options(grant, request));
+  // Base classification first: a sample the net already misclassifies has
+  // no tolerance to measure (Fannet::analyze_tolerance's P1 screen).
+  const Query base = fannet.make_query(request.x, request.true_label,
+                                       NoiseBox::symmetric(dims, 0),
+                                       request.bias_node);
+  const bool correct =
+      verify::classify_under_noise(base, std::vector<int>(dims, 0)) ==
+      request.true_label;
+  body.set("correct_without_noise", Json::boolean(correct));
 
-    // Base classification first: a sample the net already misclassifies has
-    // no tolerance to measure (mirrors Fannet::analyze_tolerance's P1
-    // screen).
-    const Query base = fannet.make_query(
-        request.x, request.true_label, NoiseBox::symmetric(dims, 0),
-        request.bias_node);
-    const std::vector<int> zero(dims, 0);
-    const bool correct =
-        verify::classify_under_noise(base, zero) == request.true_label;
-    body.set("correct_without_noise", Json::boolean(correct));
-
-    if (correct) {
-      const auto flips_at = [&](int range) {
-        ++probes;
-        bool hit = false;
-        const VerifyResult r = scheduler.verify_one(
-            fannet.make_query(request.x, request.true_label,
-                              NoiseBox::symmetric(dims, range),
-                              request.bias_node),
-            eng, &hit);
-        if (hit) ++hits;
-        return r;
-      };
-      // The exact binary descent of core::descend_sample (fannet.cpp):
-      // screen at start_range, then bisect the minimal flipping range.
-      const VerifyResult at_max = flips_at(request.start_range);
-      if (at_max.verdict != Verdict::kVulnerable) {
-        body.set("min_flip_range", Json::null());
-      } else {
-        int lo = 1, hi = request.start_range;
-        std::optional<verify::Counterexample> witness = at_max.counterexample;
-        while (lo < hi && !control.cancelled()) {
-          const int mid = lo + (hi - lo) / 2;
-          const VerifyResult r = flips_at(mid);
-          if (r.verdict == Verdict::kVulnerable) {
-            witness = r.counterexample;
-            hi = mid;
-          } else {
-            lo = mid + 1;
-          }
-        }
-        body.set("min_flip_range", Json::integer(lo));
-        if (witness.has_value()) {
-          Json cex = Json::object();
-          Json deltas = Json::array();
-          for (const int d : witness->deltas) {
-            deltas.push_back(Json::integer(d));
-          }
-          cex.set("deltas", std::move(deltas));
-          cex.set("bias_delta", Json::integer(witness->bias_delta));
-          cex.set("mis_label", Json::integer(witness->mis_label));
-          body.set("witness", std::move(cex));
-        }
-        body.set("cancelled", Json::boolean(control.cancelled()));
-      }
+  std::uint64_t probes = 0;
+  if (correct) {
+    const core::DescentOutcome outcome = core::descend_sample(
+        fannet, request.x, request.true_label, request.start_range,
+        request.bias_node, dispatch.decider());
+    probes = outcome.queries;
+    if (!outcome.min_flip_range.has_value()) {
+      body.set("min_flip_range", Json::null());
+    } else {
+      body.set("min_flip_range", Json::integer(*outcome.min_flip_range));
+      body.set("witness", counterexample_json(*outcome.witness));
+      body.set("cancelled", Json::boolean(dispatch.cancelled()));
     }
-    body.set("probes", Json::integer(static_cast<std::int64_t>(probes)));
-    body.set("cache_hits", Json::integer(static_cast<std::int64_t>(hits)));
-    body.set("deadline_expired",
-             Json::integer(static_cast<std::int64_t>(
-                 scheduler.deadline_expired_total())));
-    deadline_expired_.fetch_add(scheduler.deadline_expired_total(),
-                                std::memory_order_relaxed);
-  } catch (...) {
-    budget_->release(grant);
-    throw;
   }
-  budget_->release(grant);
-  cache_hits_.fetch_add(hits, std::memory_order_relaxed);
-  cache_misses_.fetch_add(probes - hits, std::memory_order_relaxed);
+  body.set("probes", Json::integer(static_cast<std::int64_t>(probes)));
+  body.set("cache_hits",
+           Json::integer(static_cast<std::int64_t>(dispatch.cache_hits())));
+  body.set("deadline_expired", Json::integer(static_cast<std::int64_t>(
+                                   dispatch.deadline_expired())));
   return body;
 }
 
@@ -732,7 +692,6 @@ Json Server::handle_sensitivity(Session& session, const Request& request) {
   const ServeModel& model = model_or_throw(request.model);
   const verify::Engine& eng = engine_or_throw(request.engine);
   const core::Fannet fannet(model.net);
-  const std::size_t n = request.x.size();
   const int range = request.box.range;
   if (!request.box.lo.empty()) {
     throw ServeError{ErrorCode::kBadRequest,
@@ -742,79 +701,27 @@ Json Server::handle_sensitivity(Session& session, const Request& request) {
     throw ServeError{ErrorCode::kBadRequest, "'range' must be >= 0"};
   }
 
-  const std::size_t grant = acquire_grant();
-  verify::BatchControl control;
-
+  Dispatch dispatch(*this, session, request, eng);
   Json body = Json::object();
   body.set("model", Json::string(request.model));
   body.set("engine", Json::string(request.engine));
   body.set("node", Json::integer(static_cast<std::int64_t>(request.node)));
   body.set("direction", Json::integer(request.direction));
-  std::uint64_t hits = 0, misses = 0;
-  try {
-    const ActiveControl scoped(*this, session, control);
-    const verify::Scheduler scheduler(scheduler_options(grant, request));
-    const auto probe = [&](const NoiseBox& box) {
-      bool hit = false;
-      const VerifyResult r = scheduler.verify_one(
-          fannet.make_query(request.x, request.true_label, box, false), eng,
-          &hit);
-      if (hit) ++hits; else ++misses;
-      return r;
-    };
-
-    if (request.direction != 0) {
-      // core::directional_possible's box, single-sample: other nodes roam
-      // +/-range, the probed node is strictly signed.
-      NoiseBox box = NoiseBox::symmetric(n, range);
-      if (request.direction > 0) box.lo[request.node] = 1;
-      else box.hi[request.node] = -1;
-      if (box.lo[request.node] > box.hi[request.node]) {
-        body.set("possible", Json::boolean(false));
-      } else {
-        const VerifyResult r = probe(box);
-        body.set("possible",
-                 Json::boolean(r.verdict == Verdict::kVulnerable));
-        body.set("result", verify_result_json(r));
-      }
-    } else {
-      // core::solo_flip's Eq.-3 bisection: only the probed node is noised.
-      NoiseBox solo;
-      solo.lo.assign(n, 0);
-      solo.hi.assign(n, 0);
-      solo.lo[request.node] = -range;
-      solo.hi[request.node] = range;
-      const VerifyResult r = probe(solo);
-      if (r.verdict != Verdict::kVulnerable) {
-        body.set("min_flip", Json::null());
-      } else {
-        const int flip_at =
-            std::max(std::abs(r.counterexample->deltas[request.node]), 1);
-        int lo = 1, hi = flip_at;
-        while (lo < hi && !control.cancelled()) {
-          const int mid = lo + (hi - lo) / 2;
-          NoiseBox step = solo;
-          step.lo[request.node] = -mid;
-          step.hi[request.node] = mid;
-          if (probe(step).verdict == Verdict::kVulnerable) {
-            hi = mid;
-          } else {
-            lo = mid + 1;
-          }
-        }
-        body.set("min_flip", Json::integer(lo));
-      }
-      body.set("cancelled", Json::boolean(control.cancelled()));
-    }
-    deadline_expired_.fetch_add(scheduler.deadline_expired_total(),
-                                std::memory_order_relaxed);
-  } catch (...) {
-    budget_->release(grant);
-    throw;
+  if (request.direction != 0) {
+    const std::optional<VerifyResult> r = core::directional_probe(
+        fannet, request.x, request.true_label, request.node,
+        request.direction, range, dispatch.decider());
+    body.set("possible", Json::boolean(r.has_value() &&
+                                       r->verdict == Verdict::kVulnerable));
+    if (r.has_value()) body.set("result", verify_result_json(*r));
+  } else {
+    const std::optional<int> min_flip =
+        core::solo_flip(fannet, request.x, request.true_label, request.node,
+                        range, dispatch.decider());
+    body.set("min_flip",
+             min_flip.has_value() ? Json::integer(*min_flip) : Json::null());
+    body.set("cancelled", Json::boolean(dispatch.cancelled()));
   }
-  budget_->release(grant);
-  cache_hits_.fetch_add(hits, std::memory_order_relaxed);
-  cache_misses_.fetch_add(misses, std::memory_order_relaxed);
   return body;
 }
 

@@ -16,12 +16,15 @@
 ///     grant from the shared budget, so N concurrent clients share the
 ///     machine instead of oversubscribing it N-fold;
 ///   - per-request deadlines (`deadline_ms`, falling back to the server
-///     default) armed through `SchedulerOptions::deadline_ms` — one slow
-///     request expires alone, it never stalls its neighbours;
+///     default) armed through `SchedulerOptions::deadline_ms` for each
+///     dispatched query (each batch item, each tolerance or sensitivity
+///     probe) — one slow request expires alone, it never stalls its
+///     neighbours;
 ///   - cancel-on-disconnect: each connection runs a reader thread and a
 ///     worker thread; when the reader sees EOF it cancels the worker's
-///     active `BatchControl`, so a vanished client's batch stops at the
-///     next task-step boundary instead of running to completion;
+///     active `BatchControl`, so a vanished client's request — a verify, a
+///     batch, or a tolerance or sensitivity probe chain — stops at the next
+///     task-step boundary instead of running to completion;
 ///   - capability-based admission control: requests that will dispatch a
 ///     *complete* engine (Engine::caps().complete) are rejected with a
 ///     structured `saturated` error (and a retry_after_ms hint) once the
@@ -32,8 +35,11 @@
 ///     thread — the SIGTERM path of tools/fannet_serve.cpp.
 ///
 /// Everything here is transport-thin: request execution delegates to the
-/// same scheduler/engine/analysis substrate the CLI uses, and the analysis
-/// request handlers mirror the core algorithms probe-for-probe so responses
+/// same scheduler/engine/analysis substrate the CLI uses.  One `Dispatch`
+/// per engine-dispatching request holds its worker grant and control and
+/// decides every query as a `run_all`; the tolerance and sensitivity
+/// handlers run the core probe chains (`core::descend_sample`,
+/// `core::directional_probe`, `core::solo_flip`) through it, so responses
 /// are bit-identical to direct library calls (the serve integration tests
 /// and bench_serve gate exactly that).
 #pragma once
@@ -108,7 +114,7 @@ struct ServerStats {
   std::uint64_t results = 0;            ///< `result` frames written
   std::uint64_t errors = 0;             ///< `error` frames written
   std::uint64_t rejected_saturated = 0; ///< admission-control rejections
-  std::uint64_t cancelled_disconnect = 0;  ///< batches cancelled by EOF
+  std::uint64_t cancelled_disconnect = 0;  ///< requests cancelled by EOF
   std::uint64_t deadline_expired = 0;   ///< queries expired across requests
   std::uint64_t cache_hits = 0;         ///< scheduler-reported, all requests
   std::uint64_t cache_misses = 0;
@@ -174,10 +180,11 @@ class Server {
 
  private:
   struct Session;
-  /// RAII registration of a request's BatchControl on its session, so the
-  /// reader thread can cancel it on disconnect (defined in server.cpp with
-  /// the Session layout).
-  class ActiveControl;
+  /// RAII execution context of one engine-dispatching request: its worker
+  /// grant, its BatchControl registered on the session (so the reader
+  /// thread can cancel it on disconnect) and its counters (defined in
+  /// server.cpp with the Session layout).
+  class Dispatch;
 
   void accept_loop();
   void reader_loop(Session& session);
@@ -201,11 +208,6 @@ class Server {
   [[nodiscard]] Json handle_stats() const;
 
   [[nodiscard]] const ServeModel& model_or_throw(const std::string& name) const;
-
-  /// Builds the per-request scheduler options: grant-sized workers, the
-  /// shared cache, the request's (or default) deadline.
-  [[nodiscard]] verify::SchedulerOptions scheduler_options(
-      std::size_t grant, const Request& request) const;
 
   /// Takes a worker grant from the shared budget, sized to divide the pool
   /// across the currently in-flight heavy requests (blocks while all

@@ -86,8 +86,8 @@ std::size_t Scheduler::intra_grant(std::size_t batch_size) const noexcept {
   return std::max<std::size_t>(1, threads_ / lanes);
 }
 
-VerifyResult Scheduler::verify_one(const Query& query, const Engine& engine,
-                                   bool* hit) const {
+VerifyResult Scheduler::verify_one(const Query& query,
+                                   const Engine& engine) const {
   // Solo dispatches are probe chains inside one sweep shard, so the auto
   // grant stays at 1; an explicit intra_query_threads setting (the
   // analyses pass their campaign's leftover grant) is honoured as-is.
@@ -102,8 +102,7 @@ VerifyResult Scheduler::verify_one(const Query& query, const Engine& engine,
       [&] {
         return drive_task(engine, query, context, step_work_,
                           /*control=*/nullptr, tallies);
-      },
-      hit);
+      });
   deadline_expired_total_.fetch_add(tallies.deadline_expired.load(),
                                     std::memory_order_relaxed);
   return result;
@@ -176,7 +175,6 @@ std::vector<VerifyResult> Scheduler::run_all(std::span<const Query> queries,
                                     std::memory_order_relaxed);
   if (stats != nullptr) {
     stats->queries = queries.size();
-    stats->executed = queries.size();
     stats->threads = std::min(threads_, std::max<std::size_t>(1, queries.size()));
     stats->total_work = 0;
     for (const VerifyResult& r : results) stats->total_work += r.work;

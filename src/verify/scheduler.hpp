@@ -176,15 +176,14 @@ class BatchControl {
 
 /// Per-batch accounting, filled by `run_all`.
 struct BatchStats {
-  std::size_t queries = 0;    ///< batch size
-  std::size_t executed = 0;   ///< queries decided (run_all decides all)
+  std::size_t queries = 0;    ///< batch size; run_all answers every query
   std::size_t threads = 0;    ///< workers used for this batch
   std::uint64_t total_work = 0;  ///< sum of per-query VerifyResult::work
   bool cache_enabled = false;      ///< whether a query cache was probed
   std::uint64_t cache_hits = 0;    ///< decided from the query cache
   /// Queries that dispatched an engine.  With no cache configured every
-  /// executed query is a miss (nothing could answer it), so
-  /// `cache_hits + cache_misses == executed` always holds; check
+  /// query is a miss (nothing could answer it), so
+  /// `cache_hits + cache_misses == queries` always holds; check
   /// `cache_enabled` to tell "cache off" from "cache cold".
   std::uint64_t cache_misses = 0;
   /// Queries whose per-dispatch deadline (`SchedulerOptions::deadline_ms`
@@ -211,10 +210,8 @@ class Scheduler {
   /// miss, memoize).  The analyses' sweep campaigns run every probe chain
   /// inside a shard through it (tolerance screens and descents,
   /// directional scans, solo bisections), so those memoize too.
-  /// `hit`, when non-null, reports whether the cache answered.
   [[nodiscard]] VerifyResult verify_one(const Query& query,
-                                        const Engine& engine,
-                                        bool* hit = nullptr) const;
+                                        const Engine& engine) const;
 
   /// Decides every query with `engine`; results are in input order and
   /// identical for any thread count.

@@ -257,7 +257,6 @@ TEST(ParallelBnb, BudgetUnknownFlowsThroughSchedulerRunAll) {
     EXPECT_TRUE(r.resource_limited);
     EXPECT_GE(r.work, 2u);  // the boxes it did process are recorded
   }
-  EXPECT_EQ(stats.executed, batch.size());
 }
 
 TEST(ParallelBnb, BudgetUnknownFlowsThroughCascade) {

@@ -175,31 +175,6 @@ TEST(Engines, CounterexamplesAreValidWitnesses) {
 // ---------------------------------------------------------------------------
 // Tolerance analysis
 // ---------------------------------------------------------------------------
-TEST(Tolerance, BinaryAndLinearDescentAgree) {
-  const nn::QuantizedNetwork net = random_qnet(21, 2, 4);
-  const Fannet fannet(net);
-  la::Matrix<i64> inputs(3, 2);
-  inputs(0, 0) = 20; inputs(0, 1) = 80;
-  inputs(1, 0) = 55; inputs(1, 1) = 45;
-  inputs(2, 0) = 90; inputs(2, 1) = 10;
-  std::vector<int> labels(3);
-  for (std::size_t s = 0; s < 3; ++s) {
-    labels[s] = net.classify_noised(inputs.row(s), {});
-  }
-  ToleranceConfig binary;
-  binary.start_range = 30;
-  ToleranceConfig linear = binary;
-  linear.descent = ToleranceConfig::Descent::kLinear;
-
-  const ToleranceReport rb = fannet.analyze_tolerance(inputs, labels, binary);
-  const ToleranceReport rl = fannet.analyze_tolerance(inputs, labels, linear);
-  EXPECT_EQ(rb.noise_tolerance, rl.noise_tolerance);
-  ASSERT_EQ(rb.per_sample.size(), rl.per_sample.size());
-  for (std::size_t s = 0; s < rb.per_sample.size(); ++s) {
-    EXPECT_EQ(rb.per_sample[s].min_flip_range, rl.per_sample[s].min_flip_range);
-  }
-}
-
 TEST(Tolerance, ParallelReportMatchesSerial) {
   // The scheduler fan-out must not change anything: tolerance, per-sample
   // ranges, witnesses and the query count are bit-identical for 1 vs N

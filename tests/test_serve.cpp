@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -238,41 +239,54 @@ TEST(ServeTolerance, MatchesCoreAnalyzeTolerance) {
   const core::CaseStudy& study = harness::shared_case_study();
   const std::vector<util::i64> x = harness::good_sample_x();
   const int label = harness::good_sample_label();
-
-  Json request = harness::request_base(9, "tolerance");
-  request.set("x", harness::int_array(x));
-  request.set("true_label", Json::integer(label));
-  request.set("start_range", Json::integer(50));
-  const ServeClient::Reply reply = client.call(request.dump());
-  ASSERT_EQ(reply.final_type(), "result");
-  const Json& body = field(*reply.final, "body");
-  EXPECT_TRUE(field(body, "correct_without_noise").as_bool());
-
-  // Direct library run on a one-row matrix of the same sample.
+  // Direct library runs use a one-row matrix of the same sample.
   la::Matrix<util::i64> inputs(1, x.size());
   for (std::size_t c = 0; c < x.size(); ++c) inputs(0, c) = x[c];
-  core::ToleranceConfig config;
-  config.start_range = 50;
-  config.threads = 1;
-  const core::ToleranceReport report =
-      core::Fannet(study.qnet).analyze_tolerance(inputs, {label}, config);
-  ASSERT_EQ(report.per_sample.size(), 1u);
-  const core::SampleTolerance& direct = report.per_sample[0];
 
-  const Json& min_flip = field(body, "min_flip_range");
-  if (direct.min_flip_range.has_value()) {
-    ASSERT_TRUE(min_flip.is_int());
-    EXPECT_EQ(min_flip.as_int(), *direct.min_flip_range);
-    ASSERT_TRUE(direct.witness.has_value());
-    const Json& witness = field(body, "witness");
-    const Json& deltas = field(witness, "deltas");
-    ASSERT_EQ(deltas.as_array().size(), direct.witness->deltas.size());
-    for (std::size_t i = 0; i < direct.witness->deltas.size(); ++i) {
-      EXPECT_EQ(deltas.as_array()[i].as_int(), direct.witness->deltas[i]);
+  // The bias node adds a noise dimension, so the second pass descends to a
+  // different minimal flipping range.
+  std::uint64_t id = 8;
+  for (const bool bias_node : {false, true}) {
+    SCOPED_TRACE(bias_node ? "bias_node" : "no bias_node");
+    Json request = harness::request_base(++id, "tolerance");
+    request.set("x", harness::int_array(x));
+    request.set("true_label", Json::integer(label));
+    request.set("start_range", Json::integer(50));
+    request.set("bias_node", Json::boolean(bias_node));
+    const ServeClient::Reply reply = client.call(request.dump());
+    ASSERT_EQ(reply.final_type(), "result");
+    const Json& body = field(*reply.final, "body");
+    EXPECT_TRUE(field(body, "correct_without_noise").as_bool());
+
+    core::ToleranceConfig config;
+    config.start_range = 50;
+    config.bias_node = bias_node;
+    config.threads = 1;
+    const core::ToleranceReport report =
+        core::Fannet(study.qnet).analyze_tolerance(inputs, {label}, config);
+    ASSERT_EQ(report.per_sample.size(), 1u);
+    const core::SampleTolerance& direct = report.per_sample[0];
+    EXPECT_EQ(field(body, "probes").as_int(),
+              static_cast<std::int64_t>(report.queries));
+
+    const Json& min_flip = field(body, "min_flip_range");
+    if (direct.min_flip_range.has_value()) {
+      ASSERT_TRUE(min_flip.is_int());
+      EXPECT_EQ(min_flip.as_int(), *direct.min_flip_range);
+      ASSERT_TRUE(direct.witness.has_value());
+      const Json& witness = field(body, "witness");
+      const Json& deltas = field(witness, "deltas");
+      ASSERT_EQ(deltas.as_array().size(), direct.witness->deltas.size());
+      for (std::size_t i = 0; i < direct.witness->deltas.size(); ++i) {
+        EXPECT_EQ(deltas.as_array()[i].as_int(), direct.witness->deltas[i]);
+      }
+      EXPECT_EQ(field(witness, "bias_delta").as_int(),
+                direct.witness->bias_delta);
+      EXPECT_EQ(field(witness, "mis_label").as_int(),
+                direct.witness->mis_label);
+    } else {
+      EXPECT_TRUE(min_flip.is_null());
     }
-    EXPECT_EQ(field(witness, "mis_label").as_int(), direct.witness->mis_label);
-  } else {
-    EXPECT_TRUE(min_flip.is_null());
   }
 }
 
@@ -456,25 +470,51 @@ TEST(ServeFraming, TornFrameIsTreatedAsDisconnect) {
 }
 
 TEST(ServeDisconnect, AbruptCloseCancelsActiveWork) {
-  TestServer server;
   const std::vector<util::i64> x = harness::good_sample_x();
   const int label = harness::good_sample_label();
-  {
-    ServeClient client(server.port());
-    // Enumerate over ±40: effectively unbounded without cancellation.
-    ASSERT_TRUE(client.send_frame(
-        harness::verify_request(1, x, label, 40, "enumerate")));
-    // Let the worker pick it up, then vanish mid-execution.
-    (void)poll_stats(server, [](const ServerStats& s) {
-      return s.requests >= 1;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    client.close_abrupt();
+  // Three enumerate requests that run for minutes unless cancelled: a
+  // verify over ±40; a tolerance descent from ±34, one below the sample's
+  // minimal flipping range, so its start-range screen walks the whole grid;
+  // and a directional sensitivity probe over ±40.
+  Json tolerance = harness::request_base(1, "tolerance");
+  tolerance.set("x", harness::int_array(x));
+  tolerance.set("true_label", Json::integer(label));
+  tolerance.set("start_range", Json::integer(34));
+  tolerance.set("engine", Json::string("enumerate"));
+  Json sensitivity = harness::request_base(1, "sensitivity");
+  sensitivity.set("x", harness::int_array(x));
+  sensitivity.set("true_label", Json::integer(label));
+  sensitivity.set("box", harness::box_json(40));
+  sensitivity.set("node", Json::integer(0));
+  sensitivity.set("direction", Json::integer(1));
+  sensitivity.set("engine", Json::string("enumerate"));
+  const std::vector<std::pair<std::string, std::string>> requests = {
+      {"verify", harness::verify_request(1, x, label, 40, "enumerate")},
+      {"tolerance", tolerance.dump()},
+      {"sensitivity", sensitivity.dump()}};
+
+  for (const auto& [type, request] : requests) {
+    SCOPED_TRACE(type);
+    TestServer server;
+    {
+      ServeClient client(server.port());
+      ASSERT_TRUE(client.send_frame(request));
+      // Let the worker pick it up, then vanish mid-execution.
+      (void)poll_stats(server, [](const ServerStats& s) {
+        return s.requests >= 1;
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      client.close_abrupt();
+    }
+    EXPECT_TRUE(poll_stats(server, [](const ServerStats& s) {
+      return s.cancelled_disconnect >= 1;
+    })) << "disconnect did not cancel the in-flight request";
+    // The session's worker exits only once the request's work returned.
+    EXPECT_TRUE(poll_stats(server, [](const ServerStats& s) {
+      return s.connections_active == 0;
+    })) << "cancelled work kept running";
+    server.stop();  // must not hang on the cancelled work
   }
-  EXPECT_TRUE(poll_stats(server, [](const ServerStats& s) {
-    return s.cancelled_disconnect >= 1;
-  })) << "disconnect did not cancel the in-flight request";
-  server.stop();  // must not hang on the cancelled work
 }
 
 TEST(ServeAdmission, SaturatesAboveMaxInflightWithRetryHint) {

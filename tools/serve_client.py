@@ -17,6 +17,10 @@ holds -- so a CI step is a readable sequence of assertions:
     python3 tools/serve_client.py --port "$port" disconnect --range 40
     python3 tools/serve_client.py --port "$port" stats \
         --wait cancelled_disconnect 1
+    python3 tools/serve_client.py --port "$port" disconnect \
+        --type sensitivity --range 40
+    python3 tools/serve_client.py --port "$port" stats \
+        --wait cancelled_disconnect 2
 
 The verify command discovers its base point from a `models` request: the
 server advertises a canonical `probe` sample (the first P1-correct one), so
@@ -169,9 +173,12 @@ def cmd_verify(client, args):
 
 
 def cmd_disconnect(client, args):
-    """Sends a heavy request, then dies mid-execution (RST).  The follow-up
+    """Sends a heavy request -- a verify, or a directional sensitivity probe
+    (node 0, direction +1) -- then dies mid-execution (RST).  The follow-up
     `stats --wait cancelled_disconnect N` proves the server cancelled it."""
     request = verify_request(client, args)
+    if args.type == "sensitivity":
+        request.update(type="sensitivity", node=0, direction=1)
     request["engine"] = args.engine or "enumerate"
     request.pop("deadline_ms", None)
     client.send_request(request)
@@ -213,6 +220,8 @@ def main():
     verify.add_argument("--expect-deadline-expired", action="store_true")
 
     disconnect = commands.add_parser("disconnect")
+    disconnect.add_argument("--type", choices=["verify", "sensitivity"],
+                            default="verify")
     disconnect.add_argument("--range", type=int, default=40)
     disconnect.add_argument("--engine", default="")
     disconnect.add_argument("--linger-s", type=float, default=0.1,
