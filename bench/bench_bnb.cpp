@@ -1,23 +1,20 @@
-// Intra-query scaling of the work-stealing parallel branch-and-bound on
-// the workload that motivates it: the *hardest* Fig. 4-style P2 query in
-// the case-study sweep — the high-noise query whose box tree dwarfs the
-// rest of the batch, so across-queries parallelism alone leaves cores
-// idle while it runs.
+// Branch-and-bound on the workload that motivates it: every Fig. 4-style
+// P2 query of the case-study sweep at the paper's largest noise, plus a
+// hard high-noise stress query whose box tree dwarfs them.
 //
-// The bench gates determinism (bit-identical verdict + counterexample for
-// 1, 2 and 8 frontier workers, both box-priority policies) and *records*
-// the multi-thread speedup in BENCH_bnb.json — recorded, not gated,
-// because 1-CPU CI containers show a flat curve (docs/bench-format.md).
-// It also counts the heap allocations of the 1-thread depth-first stress
-// query through a replaced global operator new, and gates them: the box
-// loop (bound kernel, frontier, bisection) must not allocate per box.
+// The bench gates determinism (the best-first policy's verdict and
+// counterexample must equal the depth-first reference: the lex-lowest
+// witness does not depend on the exploration order) and records both
+// policies' box counts and wall time in BENCH_bnb.json.  It also counts
+// the heap allocations of the depth-first stress query through a replaced
+// global operator new, and gates them: the box loop (bound kernel,
+// frontier, bisection) must not allocate per box.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <thread>
 #include <vector>
 
 #include "core/casestudy.hpp"
@@ -49,8 +46,8 @@ namespace {
 using namespace fannet;
 using util::i64;
 
-/// Gate on the heap allocations of the 1-thread depth-first stress query:
-/// setting up the search allocates, its ~450k boxes must not.
+/// Gate on the heap allocations of the depth-first stress query: setting
+/// up the search allocates, its ~450k boxes must not.
 constexpr std::uint64_t kMaxStressAllocations = 1000;
 
 const char* policy_name(verify::BnbOptions::Policy policy) {
@@ -60,7 +57,7 @@ const char* policy_name(verify::BnbOptions::Policy policy) {
 
 /// The stress query: the case-study sweep's trees top out at a few
 /// thousand boxes (the 5-20-2 net is small and the symbolic bounds are
-/// tight), so the scaling arm uses a wider net at the paper's largest
+/// tight), so the stress arm uses a wider net at the paper's largest
 /// noise — the direction fault-tolerance follow-ups (Duddu et al.) push —
 /// where the serial tree runs to ~450k boxes.  Fully deterministic: the
 /// net is seeded, the input fixed.
@@ -83,7 +80,6 @@ int main() {
   const core::CaseStudy cs = core::build_case_study();
   const core::Fannet fannet(cs.qnet);
   util::BenchJson json("bnb");
-  std::printf("hardware threads: %u\n\n", std::thread::hardware_concurrency());
 
   // The Fig. 4 top row: every correctly-classified test sample at the
   // paper's largest noise range (+/-50%).  The serial screen doubles as
@@ -121,77 +117,50 @@ int main() {
   const verify::Query hard_query = stress_query(stress_qnet);
   const verify::VerifyResult reference = verify::bnb_verify(hard_query);
 
-  std::puts("=== Hard-query scaling: work-stealing frontier ===");
-  double depth_first_serial_ms = 0.0;
-  double depth_first_8t_ms = 0.0;
-  std::uint64_t serial_allocations = 0;
+  std::puts("=== Hard query: both box-priority policies ===");
+  std::uint64_t allocations = 0;
   for (const auto policy : {verify::BnbOptions::Policy::kDepthFirst,
                             verify::BnbOptions::Policy::kBestFirst}) {
-    double serial_ms = 0.0;
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      verify::BnbOptions options;
-      options.threads = threads;
-      options.policy = policy;
-      const std::uint64_t allocations_before = g_allocations.load();
-      const util::Stopwatch watch;
-      const verify::VerifyResult r = verify::bnb_verify(hard_query, options);
-      const double ms = watch.millis();
-      const std::uint64_t allocations =
-          g_allocations.load() - allocations_before;
-      if (threads == 1) serial_ms = ms;
-
-      // Determinism gate: the verdict and the (lex-lowest) counterexample
-      // must be bit-identical to the serial depth-first reference for
-      // every worker count and policy.
-      if (r.verdict != reference.verdict ||
-          r.counterexample != reference.counterexample) {
-        std::fprintf(stderr,
-                     "FAIL: %s result differs at %zu threads from the serial "
-                     "reference\n",
-                     policy_name(policy), threads);
-        return EXIT_FAILURE;
-      }
-      std::printf("  hard_query_%-11s threads=%zu  %8.1f ms  speedup %.2fx  "
-                  "(%llu boxes)\n",
-                  policy_name(policy), threads, ms, serial_ms / ms,
-                  static_cast<unsigned long long>(r.work));
-      json.add(std::string("hard_query_") + policy_name(policy), ms, r.work,
-               threads);
-      if (policy == verify::BnbOptions::Policy::kDepthFirst) {
-        if (threads == 1) {
-          depth_first_serial_ms = ms;
-          serial_allocations = allocations;
-        }
-        if (threads == 8) depth_first_8t_ms = ms;
-      }
+    verify::BnbOptions options;
+    options.policy = policy;
+    const std::uint64_t allocations_before = g_allocations.load();
+    const util::Stopwatch watch;
+    const verify::VerifyResult r = verify::bnb_verify(hard_query, options);
+    const double ms = watch.millis();
+    if (policy == verify::BnbOptions::Policy::kDepthFirst) {
+      allocations = g_allocations.load() - allocations_before;
     }
+
+    // Determinism gate: the verdict and the (lex-lowest) counterexample
+    // must be bit-identical to the depth-first reference for both
+    // policies.
+    if (r.verdict != reference.verdict ||
+        r.counterexample != reference.counterexample) {
+      std::fprintf(stderr,
+                   "FAIL: %s result differs from the depth-first reference\n",
+                   policy_name(policy));
+      return EXIT_FAILURE;
+    }
+    std::printf("  hard_query_%-11s %8.1f ms  (%llu boxes)\n",
+                policy_name(policy), ms,
+                static_cast<unsigned long long>(r.work));
+    json.add(std::string("hard_query_") + policy_name(policy), ms, r.work, 1);
   }
 
   // Allocation gate (see docs/bench-format.md "Counter records").
-  std::printf("\nheap allocations, 1-thread depth-first hard query: %llu "
+  std::printf("\nheap allocations, depth-first hard query: %llu "
               "(gate <= %llu)\n",
-              static_cast<unsigned long long>(serial_allocations),
+              static_cast<unsigned long long>(allocations),
               static_cast<unsigned long long>(kMaxStressAllocations));
-  json.add("allocations_hard_query_depth_first", 0.0, serial_allocations, 1);
-  if (serial_allocations > kMaxStressAllocations) {
+  json.add("allocations_hard_query_depth_first", 0.0, allocations, 1);
+  if (allocations > kMaxStressAllocations) {
     std::fprintf(stderr,
-                 "FAIL: the 1-thread depth-first hard query made %llu heap "
+                 "FAIL: the depth-first hard query made %llu heap "
                  "allocations (gate <= %llu)\n",
-                 static_cast<unsigned long long>(serial_allocations),
+                 static_cast<unsigned long long>(allocations),
                  static_cast<unsigned long long>(kMaxStressAllocations));
     return EXIT_FAILURE;
   }
-
-  // Recorded headline (see docs/bench-format.md "Counter records"): the
-  // 8-worker speedup on the hard query, x100 in wall_ms.  ~100 on a 1-CPU
-  // container; the scaling shows on real multi-core hardware.
-  const double speedup_x100 =
-      depth_first_8t_ms > 0.0
-          ? 100.0 * depth_first_serial_ms / depth_first_8t_ms
-          : 0.0;
-  std::printf("\n8-thread speedup on the hard query: %.2fx\n",
-              speedup_x100 / 100.0);
-  json.add("speedup_x100_8_threads", speedup_x100, 0, 8);
 
   const std::string path = json.write();
   std::printf("wrote %s\n", path.c_str());

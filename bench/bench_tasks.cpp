@@ -10,8 +10,8 @@
 //   3. Stepping overhead — the task path measured against itself: a
 //      sweep driven at kDefaultStepWork per step must do the same `work`
 //      as one unbounded step per query and cost at most 5% (+0.5 ms)
-//      more wall-clock, for enumerate and bnb on queries that span many
-//      steps.
+//      more wall-clock (each arm's best of 5 reps, alternating which arm
+//      runs first), for enumerate and bnb on queries that span many steps.
 //
 // Any violation exits non-zero (the CI job fails); the measured numbers
 // land in BENCH_tasks.json for PR-over-PR tracking.
@@ -231,7 +231,10 @@ int run_overhead_gate(util::BenchJson& json) {
   const std::pair<const char*, std::vector<verify::Query>> sweeps[] = {
       {"enumerate", std::move(enumerate_sweep)}, {"bnb", bnb_sweep()}};
 
-  constexpr int kReps = 3;
+  // Best of kReps per arm, the arms alternating which runs first in each
+  // rep, so neither arm always pays (or always skips) the warm-up of the
+  // caches and the CPU clock.
+  constexpr int kReps = 5;
   constexpr std::uint64_t kUnbounded =
       std::numeric_limits<std::uint64_t>::max();
   for (const auto& [name, sweep] : sweeps) {
@@ -240,17 +243,24 @@ int run_overhead_gate(util::BenchJson& json) {
     double stepped_ms = 1e300;
     std::uint64_t whole_work = 0;
     std::uint64_t stepped_work = 0;
+    const auto time_whole = [&] {
+      const util::Stopwatch watch;
+      whole_work = drive_sweep(eng, sweep, kUnbounded);
+      whole_ms = std::min(whole_ms, watch.millis());
+    };
+    const auto time_stepped = [&] {
+      const util::Stopwatch watch;
+      stepped_work =
+          drive_sweep(eng, sweep, verify::EngineTask::kDefaultStepWork);
+      stepped_ms = std::min(stepped_ms, watch.millis());
+    };
     for (int rep = 0; rep < kReps; ++rep) {
-      {
-        const util::Stopwatch watch;
-        whole_work = drive_sweep(eng, sweep, kUnbounded);
-        whole_ms = std::min(whole_ms, watch.millis());
-      }
-      {
-        const util::Stopwatch watch;
-        stepped_work =
-            drive_sweep(eng, sweep, verify::EngineTask::kDefaultStepWork);
-        stepped_ms = std::min(stepped_ms, watch.millis());
+      if (rep % 2 == 0) {
+        time_whole();
+        time_stepped();
+      } else {
+        time_stepped();
+        time_whole();
       }
     }
     if (stepped_work != whole_work) {

@@ -272,25 +272,17 @@ NodeSensitivityReport analyze_sensitivity(
   }
 
   // Sound directional existence + Eq.-3 per-node tolerance, over the
-  // correctly classified samples: every probe is one campaign unit.  A
-  // campaign with fewer units than workers hands the idle ones to each
-  // engine dispatch.
+  // correctly classified samples: every probe is one campaign unit.
   const std::vector<std::size_t> bad = fannet.validate_p1(inputs, labels);
   std::vector<std::size_t> correct;
   for (std::size_t s = 0; s < inputs.rows(); ++s) {
     if (std::find(bad.begin(), bad.end(), s) == bad.end()) correct.push_back(s);
   }
-  const std::size_t units = 2 * n + n * correct.size();
-  SensitivityCampaign campaign(
-      fannet, inputs, labels, range, config, std::move(correct), report,
-      {.threads = 1,
-       .intra_query_threads =
-           verify::Scheduler(
-               {.threads = options.threads,
-                .intra_query_threads = config.intra_query_threads})
-               .intra_grant(units),
-       .batch_hint = config.batch,
-       .deadline_ms = config.deadline_ms});
+  SensitivityCampaign campaign(fannet, inputs, labels, range, config,
+                               std::move(correct), report,
+                               {.threads = 1,
+                                .batch_hint = config.batch,
+                                .deadline_ms = config.deadline_ms});
   report.sweep = verify::SweepRunner(options).run(campaign);
   report.deadline_expired = campaign.deadline_expired();
   return report;

@@ -73,10 +73,6 @@ struct SensitivityConfig {
   /// probe (per node and sign) and each per-(node, sample) solo bisection
   /// is one campaign unit.
   std::size_t threads = 0;
-  /// Intra-query worker budget per engine dispatch (see
-  /// verify::SchedulerOptions::intra_query_threads): 0 = the leftover
-  /// threads when the campaign has fewer units than workers.
-  std::size_t intra_query_threads = 0;
   /// SoA evaluation lanes per engine dispatch (DESIGN.md §10, forwarded as
   /// verify::SchedulerOptions::batch_hint): 0 = auto
   /// (nn::BatchEvaluator::kAutoBatch), 1 = the scalar reference path.

@@ -239,19 +239,12 @@ ToleranceReport Fannet::analyze_tolerance(const la::Matrix<i64>& inputs,
   }
 
   // One campaign unit per correct sample (DESIGN.md §9), run serially
-  // inside its shard.  A campaign with fewer units than workers hands the
-  // idle ones to each engine dispatch.
-  const std::size_t units = correct.size();
-  ToleranceCampaign campaign(
-      *this, inputs, labels, config, std::move(correct), report,
-      {.threads = 1,
-       .intra_query_threads =
-           verify::Scheduler(
-               {.threads = options.threads,
-                .intra_query_threads = config.intra_query_threads})
-               .intra_grant(units),
-       .batch_hint = config.batch,
-       .deadline_ms = config.deadline_ms});
+  // inside its shard.
+  ToleranceCampaign campaign(*this, inputs, labels, config, std::move(correct),
+                             report,
+                             {.threads = 1,
+                              .batch_hint = config.batch,
+                              .deadline_ms = config.deadline_ms});
   report.sweep = verify::SweepRunner(options).run(campaign);
   report.deadline_expired = campaign.deadline_expired();
 
@@ -281,20 +274,16 @@ std::vector<CorpusEntry> Fannet::extract_corpus(const la::Matrix<i64>& inputs,
   // P3 loop per sample: each new counterexample is blocked and the search
   // resumes — bnb_collect does exactly this by construction (boxes are
   // disjoint).  Samples are independent, so they fan out across workers;
-  // indexed slots keep the corpus in deterministic sample order, and
-  // bnb_collect itself is deterministic for any thread count, so leftover
-  // workers (fewer samples than threads) go into each sample's frontier.
+  // indexed slots keep the corpus in deterministic sample order.
   std::vector<std::vector<Counterexample>> per_sample(correct.size());
   const verify::Scheduler scheduler({.threads = threads});
-  verify::BnbOptions bnb_options;
-  bnb_options.threads = scheduler.intra_grant(correct.size());
   scheduler.parallel_for(correct.size(), [&](std::size_t i) {
     const std::size_t s = correct[i];
     const auto row = inputs.row(s);
     const std::size_t dims = row.size() + (bias_node ? 1 : 0);
     const Query q = make_query(row, labels[s],
                                NoiseBox::symmetric(dims, range), bias_node);
-    per_sample[i] = verify::bnb_collect(q, max_per_sample, bnb_options);
+    per_sample[i] = verify::bnb_collect(q, max_per_sample);
   });
 
   std::vector<CorpusEntry> corpus;

@@ -58,11 +58,6 @@ struct ToleranceConfig {
   /// is 0 (0 = hardware concurrency, 1 = serial).  Results are identical
   /// for every thread count.
   std::size_t threads = 0;
-  /// Intra-query worker budget per engine dispatch (see
-  /// verify::SchedulerOptions::intra_query_threads): 0 = the leftover
-  /// threads when the campaign has fewer units than workers, N = fixed
-  /// grant.
-  std::size_t intra_query_threads = 0;
   /// SoA evaluation lanes per engine dispatch (DESIGN.md §10, forwarded as
   /// verify::SchedulerOptions::batch_hint): 0 = auto
   /// (nn::BatchEvaluator::kAutoBatch), 1 = the scalar reference path.
@@ -171,8 +166,8 @@ class Fannet {
 
 /// One P2 decision, supplied by whoever runs a probe chain: the analyses'
 /// sweep campaigns pass their shard scheduler's `verify_one`, `fannet_serve`
-/// its request dispatch (so the request's deadline, cancellation and worker
-/// grant reach every probe).  The chains below are the only implementation
+/// its request dispatch (so the request's deadline and cancellation reach
+/// every probe).  The chains below are the only implementation
 /// of each probe sequence.
 using Decide = std::function<verify::VerifyResult(const verify::Query&)>;
 

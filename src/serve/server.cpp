@@ -131,18 +131,20 @@ struct Server::Session {
 /// happen under one lock, so a disconnect always lands: either the reader
 /// sees `active` and cancels it directly, or the constructor sees
 /// `disconnected` and self-cancels.  Every query is decided by a `run_all`
-/// under that control on a grant-sized scheduler, so a one-query dispatch
-/// (a verify request, each tolerance or sensitivity probe) hands the whole
-/// grant to its engine.  The request's cache and deadline counts reach the
-/// server counters when it ends, before its result frame is written.
+/// under that control on a grant-sized scheduler.  An engine decides one
+/// query on one thread, so the grant is sized to `width`, the queries the
+/// request decides at once: 1 for a verify request and the one-at-a-time
+/// tolerance and sensitivity probe chains, the item count for a batch.
+/// The request's cache and deadline counts reach the server counters when
+/// it ends, before its result frame is written.
 class Server::Dispatch {
  public:
   Dispatch(Server& server, Session& session, const Request& request,
-           const verify::Engine& engine)
+           const verify::Engine& engine, std::size_t width = 1)
       : server_(server),
         session_(session),
         engine_(engine),
-        grant_(server.acquire_grant()),
+        grant_(server.acquire_grant(width)),
         scheduler_({.threads = grant_,
                     .cache = server.options_.cache,
                     .deadline_ms = request.deadline_ms != 0
@@ -498,10 +500,11 @@ NoiseBox resolve_box(const RequestBox& box, std::size_t dims) {
 
 }  // namespace
 
-std::size_t Server::acquire_grant() {
+std::size_t Server::acquire_grant(std::size_t width) {
   const std::size_t inflight = std::max<std::size_t>(
       1, heavy_inflight_.load(std::memory_order_relaxed));
-  return budget_->acquire(std::max<std::size_t>(1, worker_total_ / inflight));
+  const std::size_t share = std::max<std::size_t>(1, worker_total_ / inflight);
+  return budget_->acquire(std::min(share, width));
 }
 
 void Server::execute(Session& session, const Request& request) {
@@ -598,7 +601,7 @@ Json Server::handle_batch(Session& session, const Request& request) {
                                         request.bias_node));
   }
 
-  Dispatch dispatch(*this, session, request, eng);
+  Dispatch dispatch(*this, session, request, eng, queries.size());
   Json items = Json::array();
   // Chunked execution so long sweeps can stream progress frames between
   // scheduler calls; chunking never changes the per-item results (each
@@ -737,7 +740,8 @@ Json Server::handle_weight_faults(const Request& request) {
                      "model '" + request.model + "' has no sample set"};
   }
 
-  const std::size_t grant = acquire_grant();
+  // The fault scan fans its shards across every worker it is granted.
+  const std::size_t grant = acquire_grant(worker_total_);
   core::WeightFaultConfig config;
   config.max_percent = request.max_percent;
   config.step = request.step;

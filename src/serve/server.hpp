@@ -209,10 +209,11 @@ class Server {
 
   [[nodiscard]] const ServeModel& model_or_throw(const std::string& name) const;
 
-  /// Takes a worker grant from the shared budget, sized to divide the pool
-  /// across the currently in-flight heavy requests (blocks while all
-  /// workers are taken).  Pair with budget_->release(grant).
-  [[nodiscard]] std::size_t acquire_grant();
+  /// Takes a worker grant from the shared budget: `width` (the workers the
+  /// request can use at once), capped at the pool divided across the
+  /// currently in-flight heavy requests (blocks while all workers are
+  /// taken).  Pair with budget_->release(grant).
+  [[nodiscard]] std::size_t acquire_grant(std::size_t width);
 
   /// True when the request's engine dispatch is subject to admission
   /// control (complete engines saturate the queue; sound-only screens and

@@ -30,10 +30,8 @@ class EnumerateEngine final : public Engine {
   }
   [[nodiscard]] std::unique_ptr<EngineTask> make_task(
       const Query& query, const VerifyContext& context) const override {
-    EnumerateOptions options;
-    options.batch = context.batch_hint;
-    options.threads = std::max<std::size_t>(1, context.threads);
-    return make_enumerate_task(query, options, context.budget);
+    return make_enumerate_task(query, {.batch = context.batch_hint},
+                               context.budget);
   }
 };
 
@@ -76,7 +74,6 @@ class BnbEngine final : public Engine {
   [[nodiscard]] std::unique_ptr<EngineTask> make_task(
       const Query& query, const VerifyContext& context) const override {
     BnbOptions options;
-    options.threads = std::max<std::size_t>(1, context.threads);
     options.batch = context.batch_hint;
     options.budget = context.budget;
     if (context.budget.max_boxes > 0) {
@@ -92,7 +89,9 @@ class BnbEngine final : public Engine {
 /// finalizes with work accumulated across every stage that ran.  A
 /// deadline/cancel expiry truncates the pipeline instead of starting the
 /// next stage (flagged resource_limited, since the skipped stages might
-/// have decided).
+/// have decided); a cancel of this task is passed on to the running stage,
+/// which then finalizes with the work it did.  `work` holds the finished
+/// stages' total between steps.
 class CascadeTask final : public EngineTask {
  public:
   CascadeTask(std::vector<const Engine*> stages, Query query,
@@ -107,7 +106,11 @@ class CascadeTask final : public EngineTask {
     if (sub_ == nullptr) {
       sub_ = stages_[stage_]->make_task(query_, context_);
     }
-    if (sub_->step(max_work) != TaskState::kDone) return false;
+    if (interrupted()) sub_->cancel();
+    if (sub_->step(max_work) != TaskState::kDone) {
+      out.work = work_;
+      return false;
+    }
     out = sub_->result();
     work_ += out.work;
     const bool last = stage_ + 1 >= stages_.size();

@@ -11,7 +11,9 @@
 ///
 /// An engine is a task factory: `make_task` is the only way it runs
 /// (verify/task.hpp, DESIGN.md §12).  `verify` and `verify_with` are
-/// conveniences that drive that task to completion.
+/// conveniences that drive that task to completion.  A task decides its
+/// query on the thread that steps it; parallelism lives in the
+/// scheduler's batch fan-out (verify/scheduler.hpp).
 ///
 /// Built-in registrations:
 ///
@@ -45,16 +47,14 @@ namespace fannet::verify {
 class EngineTask;
 
 /// Per-call execution context the scheduler threads down to engines
-/// through `Engine::make_task`.  Engines that can parallelize *within* one
-/// query (branch-and-bound's work-stealing frontier, enumerate's block
-/// scan; the cascade forwards to its stages) honour `threads`; engines
+/// through `Engine::make_task`.  Every engine decides one query on one
+/// thread; parallelism lives in the scheduler's batch fan-out.  Engines
 /// that evaluate grids of noise vectors (enumerate, bnb's flips-everywhere
 /// drains) honour `batch_hint` by staging that many SoA lanes per forward
-/// pass (DESIGN.md §10); everything else ignores them.  Verdicts and
-/// witnesses are identical for every value — only wall-clock (and, for
-/// bnb, the `work` box count under threads > 1) depends on them.
+/// pass (DESIGN.md §10); everything else ignores it.  Verdicts, witnesses
+/// and `work` are identical for every value — only wall-clock depends on
+/// it.
 struct VerifyContext {
-  std::size_t threads = 1;  ///< intra-query worker budget (>= 1)
   /// SoA evaluation lanes per batched forward pass: 0 = auto
   /// (nn::BatchEvaluator::kAutoBatch), 1 = the scalar reference path.
   std::size_t batch_hint = 0;
@@ -194,9 +194,7 @@ class CascadeEngine final : public Engine {
   }
   /// Staged pipeline task: one sub-task per stage (each stage's own task),
   /// advanced on kUnknown with work accumulated across stages.  Every
-  /// stage gets the whole context (the scheduler's leftover threads); the
-  /// sound-only screens ignore it, so in practice the grant lands on the
-  /// final complete (bnb) stage.
+  /// stage gets the whole context.
   [[nodiscard]] std::unique_ptr<EngineTask> make_task(
       const Query& query, const VerifyContext& context) const override;
 

@@ -1,16 +1,13 @@
 #include "verify/enumerate.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "nn/batch_eval.hpp"
 #include "util/error.hpp"
-#include "util/sync.hpp"
 #include "verify/task.hpp"
 
 namespace fannet::verify {
@@ -95,86 +92,42 @@ std::uint64_t scalar_stream(
 }
 
 /// The batched decision scan: the linearized box is split into fixed
-/// blocks of `batch_lanes` points.  Each block's first *event*
-/// (counterexample or overflow) is recorded and the globally lowest event
-/// index wins, so verdict, witness, and work are the scalar walk's:
-/// work = event index + 1 on a hit, the box volume on a proof.
+/// blocks of `batch_lanes` points, evaluated in ascending order, and the
+/// first *event* (counterexample or overflow) ends the walk, so verdict,
+/// witness, and work are the scalar walk's: work = event index + 1 on a
+/// hit, the box volume on a proof.
 struct BlockEvent {
   std::uint64_t index = 0;
   int label = 0;
   bool overflow = false;
 };
 
-/// Scans linear point indices [range_start, range_end) for the lowest
-/// event, fanning `batch_lanes`-point blocks across `threads` workers
-/// claimed in ascending order (blocks past the best-so-far event block are
-/// skipped; every block below it was claimed earlier, so it is fully
-/// processed before the workers drain).  Serial when threads == 1 — same
-/// blocks, same events, no spawn.  Returns nullopt when the range is
-/// event-free.
-[[nodiscard]] std::optional<BlockEvent> scan_range(const Query& q,
-                                                   std::uint64_t range_start,
-                                                   std::uint64_t range_end,
-                                                   std::size_t batch_lanes,
-                                                   std::size_t threads) {
-  const std::uint64_t span = range_end - range_start;
-  const std::uint64_t blocks = (span + batch_lanes - 1) / batch_lanes;
-  std::atomic<std::uint64_t> next_block{0};
-  std::atomic<std::uint64_t> best_block{~static_cast<std::uint64_t>(0)};
-  util::Mutex best_mutex;
-  bool have_best = false;
-  BlockEvent best;
-  util::FirstError error;
-
-  const auto worker = [&] {
-    try {
-      nn::BatchEvaluator evaluator(*q.net);
-      nn::BatchEvaluator::Batch batch = evaluator.make_batch();
-      std::vector<int> delta;
-      while (true) {
-        const std::uint64_t blk = next_block.fetch_add(1);
-        if (blk >= blocks) return;
-        if (blk > best_block.load(std::memory_order_relaxed)) continue;
-        const std::uint64_t start = range_start + blk * batch_lanes;
-        const std::size_t count = static_cast<std::size_t>(
-            std::min<std::uint64_t>(batch_lanes, range_end - start));
-        batch.clear();
-        decode_point(q, start, delta);
-        for (std::size_t t = 0; t < count; ++t) {
-          stage_lane(q, delta, batch);
-          if (t + 1 < count) (void)advance(q, delta);
-        }
-        evaluator.run(batch);
-        for (std::size_t t = 0; t < count; ++t) {
-          const bool overflow = batch.overflowed(t);
-          if (!overflow && batch.label(t) == q.true_label) continue;
-          const util::MutexLock lock(best_mutex);
-          const std::uint64_t index = start + t;
-          if (!have_best || index < best.index) {
-            have_best = true;
-            best = {index, overflow ? 0 : batch.label(t), overflow};
-            best_block.store(blk, std::memory_order_relaxed);
-          }
-          break;  // later lanes of this block are higher indices
-        }
-      }
-    } catch (...) {
-      error.capture();
-      next_block.store(blocks);  // drain the other workers
+/// Scans linear point indices [range_start, range_end) block by block in
+/// ascending order through `evaluator` and `batch` (`delta` is scratch).
+/// Returns the first event, or nullopt when the range is event-free.
+[[nodiscard]] std::optional<BlockEvent> scan_range(
+    const Query& q, const nn::BatchEvaluator& evaluator,
+    nn::BatchEvaluator::Batch& batch, std::vector<int>& delta,
+    std::uint64_t range_start, std::uint64_t range_end,
+    std::size_t batch_lanes) {
+  decode_point(q, range_start, delta);
+  for (std::uint64_t start = range_start; start < range_end;
+       start += batch_lanes) {
+    const std::size_t count = static_cast<std::size_t>(
+        std::min<std::uint64_t>(batch_lanes, range_end - start));
+    batch.clear();
+    for (std::size_t t = 0; t < count; ++t) {
+      stage_lane(q, delta, batch);
+      (void)advance(q, delta);  // wraps only past the box's last point
     }
-  };
-
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    evaluator.run(batch);
+    for (std::size_t t = 0; t < count; ++t) {
+      const bool overflow = batch.overflowed(t);
+      if (!overflow && batch.label(t) == q.true_label) continue;
+      return BlockEvent{start + t, overflow ? 0 : batch.label(t), overflow};
+    }
   }
-  error.rethrow_if_set();
-  if (!have_best) return std::nullopt;
-  return best;
+  return std::nullopt;
 }
 
 /// Final result for the lowest event: decode the point, reproduce the
@@ -194,50 +147,49 @@ struct BlockEvent {
 
 /// Native resumable task: a linear cursor over the bounded box volume,
 /// scanning `max_work` points (rounded up to whole blocks) per step
-/// through `scan_range`.  Because blocks are fixed and chunks cover
-/// [cursor, end) contiguously, the first event found is the globally
-/// lowest one regardless of where step boundaries land — the determinism
-/// contract of verify/task.hpp falls out structurally.  `batch = 1` (the
-/// scalar reference walk, EnumerateOptions::batch) and practically
-/// unenumerable boxes (bounded_volume() == 0) run a serial scalar odometer
-/// slice instead, which the batched scan is bit-identical to.
+/// through `scan_range` with one SoA evaluator and batch that live as long
+/// as the task.  Because blocks are fixed and chunks cover [cursor, end)
+/// contiguously, the first event found is the globally lowest one
+/// regardless of where step boundaries land — the determinism contract of
+/// verify/task.hpp falls out structurally.  `batch = 1` (the scalar
+/// reference walk, EnumerateOptions::batch) and practically unenumerable
+/// boxes (bounded_volume() == 0) run a scalar odometer slice instead,
+/// which the batched scan is bit-identical to.  After every step `work`
+/// holds the points walked so far, so an interrupted query reports them.
 class EnumerateTask final : public EngineTask {
  public:
   EnumerateTask(Query query, const EnumerateOptions& options,
                 const Budget& budget)
       : EngineTask(budget),
         query_(std::move(query)),
-        batch_(nn::BatchEvaluator::resolve_batch(options.batch)),
-        threads_(options.threads == 0
-                     ? std::max<std::size_t>(
-                           1, std::thread::hardware_concurrency())
-                     : options.threads),
+        lanes_(nn::BatchEvaluator::resolve_batch(options.batch)),
         volume_(bounded_volume(query_)) {}
 
  private:
   bool step_impl(std::uint64_t max_work, VerifyResult& out) override {
-    if (volume_ == 0 || batch_ == 1) return scalar_slice(max_work, out);
-    const std::uint64_t lanes = batch_;
+    if (volume_ == 0 || lanes_ == 1) return scalar_slice(max_work, out);
+    if (!evaluator_.has_value()) {
+      evaluator_.emplace(*query_.net);
+      batch_.emplace(evaluator_->make_batch());
+    }
+    const std::uint64_t lanes = lanes_;
     // Whole blocks covering max_work points, capped at the box's end so an
     // unbounded quota (UINT64_MAX) cannot overflow.
     const std::uint64_t blocks =
         std::min(max_work / lanes + (max_work % lanes != 0 ? 1 : 0),
                  (volume_ - cursor_ + lanes - 1) / lanes);
     const std::uint64_t end = std::min(volume_, cursor_ + blocks * lanes);
-    const std::uint64_t chunk_blocks = (end - cursor_ + lanes - 1) / lanes;
-    const std::size_t fan = static_cast<std::size_t>(
-        std::min<std::uint64_t>(threads_, chunk_blocks));
-    const std::optional<BlockEvent> event =
-        scan_range(query_, cursor_, end, batch_, fan);
+    const std::optional<BlockEvent> event = scan_range(
+        query_, *evaluator_, *batch_, delta_, cursor_, end, lanes_);
     if (event.has_value()) {
       out = event_result(query_, *event);
       return true;
     }
     cursor_ = end;
+    out.work = cursor_;
     if (cursor_ < volume_) return false;
     out.verdict = Verdict::kRobust;
     out.counterexample.reset();
-    out.work = volume_;
     return true;
   }
 
@@ -263,17 +215,20 @@ class EnumerateTask final : public EngineTask {
         out.work = visited_;
         return true;
       }
-      if ((i & 63u) == 63u && should_yield()) return false;
+      if ((i & 63u) == 63u && should_yield()) break;
     }
+    out.work = visited_;
     return false;
   }
 
   Query query_;
-  std::size_t batch_;
-  std::size_t threads_;
+  std::size_t lanes_;  // points per evaluation block
   std::uint64_t volume_;
   std::uint64_t cursor_ = 0;
-  // Scalar odometer state.
+  // Batched scan state, built on the first batched step.
+  std::optional<nn::BatchEvaluator> evaluator_;
+  std::optional<nn::BatchEvaluator::Batch> batch_;
+  // Odometer position (scalar slice) or decode scratch (batched scan).
   std::vector<int> delta_;
   bool started_ = false;
   std::uint64_t visited_ = 0;

@@ -15,9 +15,9 @@
 ///     `enumerate_find_first` runs in one unbounded step): the linearized
 ///     box is split into fixed blocks of `batch` points, each staged into
 ///     an SoA `nn::BatchEvaluator` batch and evaluated through one
-///     vectorized MAC kernel (DESIGN.md §10), and the lowest-index event
-///     wins, so the first counterexample and `work` match the odometer for
-///     every batch size, thread count and step size.  A lane the batched
+///     vectorized MAC kernel (DESIGN.md §10), in ascending order, and the
+///     first event ends the walk, so the first counterexample and `work`
+///     match the odometer for every batch size and step size.  A lane the batched
 ///     kernel flags as overflowing is re-run through the scalar path, which
 ///     throws the genuine exception at exactly the point the scalar walk
 ///     would have.
@@ -39,9 +39,6 @@ struct EnumerateOptions {
   /// Evaluation lanes per batched forward pass: 1 = the scalar reference
   /// walk, 0 = auto (nn::BatchEvaluator::kAutoBatch).
   std::size_t batch = 0;
-  /// Worker threads sharing each step's blocks: 1 = serial, 0 = one per
-  /// hardware thread.  The scalar walk (batch = 1) is always serial.
-  std::size_t threads = 1;
 };
 
 /// Decision query: stops at the first counterexample in odometer order.
@@ -64,7 +61,7 @@ std::uint64_t enumerate_stream(
 /// evaluation blocks) of the linearized box, so the walk pauses, resumes,
 /// and honours `budget` deadlines at block granularity.  Verdict, witness,
 /// and `work` are bit-identical to the scalar odometer's for every step
-/// size, batch, and thread count.
+/// size and batch; an interrupted task reports the points it walked.
 [[nodiscard]] std::unique_ptr<EngineTask> make_enumerate_task(
     const Query& query, const EnumerateOptions& options, const Budget& budget);
 

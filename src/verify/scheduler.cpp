@@ -60,8 +60,7 @@ VerifyResult drive_task(const Engine& engine, const Query& query,
 }  // namespace
 
 Scheduler::Scheduler(SchedulerOptions options)
-    : intra_query_threads_(options.intra_query_threads),
-      batch_hint_(options.batch_hint),
+    : batch_hint_(options.batch_hint),
       cache_(options.cache),
       deadline_ms_(options.deadline_ms),
       budget_(options.budget),
@@ -76,25 +75,9 @@ QueryCache* Scheduler::effective_cache() const noexcept {
   return cache_ != nullptr ? cache_ : global_query_cache();
 }
 
-std::size_t Scheduler::intra_grant(std::size_t batch_size) const noexcept {
-  if (intra_query_threads_ != 0) return intra_query_threads_;
-  // Leftover threads: lanes the batch actually occupies, the rest handed
-  // to each engine dispatch.  A full batch grants 1 (pure across-queries
-  // fan-out); a lone query gets the whole budget.
-  const std::size_t lanes =
-      std::max<std::size_t>(1, std::min(threads_, batch_size));
-  return std::max<std::size_t>(1, threads_ / lanes);
-}
-
 VerifyResult Scheduler::verify_one(const Query& query,
                                    const Engine& engine) const {
-  // Solo dispatches are probe chains inside one sweep shard, so the auto
-  // grant stays at 1; an explicit intra_query_threads setting (the
-  // analyses pass their campaign's leftover grant) is honoured as-is.
-  VerifyContext context{
-      .threads = intra_query_threads_ != 0 ? intra_query_threads_ : 1,
-      .batch_hint = batch_hint_,
-      .budget = budget_};
+  VerifyContext context{.batch_hint = batch_hint_, .budget = budget_};
   if (deadline_ms_ != 0) context.budget.deadline = Budget::after_ms(deadline_ms_);
   DriveTallies tallies;
   const VerifyResult result = cached_verify(
@@ -148,9 +131,7 @@ std::vector<VerifyResult> Scheduler::run_all(std::span<const Query> queries,
                                              BatchControl* control) const {
   const util::Stopwatch watch;
   QueryCache* const cache = effective_cache();
-  const VerifyContext base{.threads = intra_grant(queries.size()),
-                           .batch_hint = batch_hint_,
-                           .budget = budget_};
+  const VerifyContext base{.batch_hint = batch_hint_, .budget = budget_};
   std::vector<VerifyResult> results(queries.size());
   std::atomic<std::uint64_t> hits{0};
   DriveTallies tallies;

@@ -4,7 +4,8 @@
 /// FANNet's analyses (tolerance, corpus, sensitivity, boundary, faults) all
 /// reduce to large batches of independent P2 queries; this fork-join
 /// scheduler fans a batch across a thread pool while keeping every result
-/// bit-identical to the serial run:
+/// bit-identical to the serial run.  It is the one level of parallelism:
+/// each engine decides its query on the worker thread that dispatched it.
 ///
 ///   - results are written to index-addressed slots, so `run_all` returns
 ///     them in input order regardless of completion order;
@@ -54,21 +55,9 @@ class QueryCache;
 
 /// Construction-time configuration for a Scheduler.
 struct SchedulerOptions {
-  /// Worker count; 0 = one worker per hardware thread.
+  /// Worker count; 0 = one worker per hardware thread.  Each worker
+  /// decides one query at a time on its own thread.
   std::size_t threads = 0;
-  /// Intra-query worker budget granted to each engine dispatch (as
-  /// `VerifyContext::threads`, which `Engine::make_task` hands to the
-  /// task), so inter- and intra-query parallelism share one thread budget
-  /// instead of oversubscribing.  0 (the default) means *leftover
-  /// threads*: when a batch has fewer queries than workers, the idle
-  /// workers are handed to the engines (branch-and-bound's work-stealing
-  /// frontier, enumerate's block scan; the cascade forwards the grant to
-  /// its final bnb stage) — one hard query on an otherwise idle machine
-  /// then uses every core.  Full batches grant 1, i.e. the classic
-  /// across-queries fan-out.  Verdicts and witnesses are identical for
-  /// every setting; bnb's `work` box count is only bit-deterministic under
-  /// a grant of 1.
-  std::size_t intra_query_threads = 0;
   /// SoA evaluation lanes granted to every engine dispatch (via
   /// `VerifyContext::batch_hint`): 0 = auto (nn::BatchEvaluator::kAutoBatch),
   /// 1 = the scalar reference path.  Grid-walking engines (enumerate, bnb)
@@ -231,15 +220,6 @@ class Scheduler {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn) const;
 
-  /// Intra-query thread grant for a batch of `batch_size` jobs: the
-  /// explicit `intra_query_threads` setting when non-zero, otherwise the
-  /// leftover threads once the batch is spread across the workers
-  /// (>= 1).  This is the single budget-splitting policy — callers that
-  /// fan out engine-adjacent work themselves (extract_corpus's per-sample
-  /// bnb_collect loops, the analyses' sweep campaigns) read their grant
-  /// from here instead of re-deriving it.
-  [[nodiscard]] std::size_t intra_grant(std::size_t batch_size) const noexcept;
-
   /// Total queries (across every run_all / verify_one call on this
   /// scheduler) whose deadline expired.  Analyses surface this on their reports so a
   /// sweep cut short by `deadline_ms` is visible, not silent.
@@ -254,7 +234,6 @@ class Scheduler {
   [[nodiscard]] QueryCache* effective_cache() const noexcept;
 
   std::size_t threads_ = 1;
-  std::size_t intra_query_threads_ = 0;
   std::size_t batch_hint_ = 0;
   QueryCache* cache_ = nullptr;
   std::uint64_t deadline_ms_ = 0;

@@ -6,8 +6,8 @@
 /// `step(max_work)` surface, so a serving layer can hold thousands of
 /// in-flight P2 queries, time-slice them, pause and resume them, cancel
 /// them, and bound them with wall-clock deadlines.  Engines with real
-/// long-running loops (enumerate's grid walk, bnb's work-stealing
-/// frontier, the cascade's staged pipeline, sat's CDCL solve + witness
+/// long-running loops (enumerate's grid walk, bnb's box frontier, the
+/// cascade's staged pipeline, sat's CDCL solve + witness
 /// minimization) provide native tasks that checkpoint their
 /// frontier/trail between steps; the rest (interval, symbolic,
 /// explicit-mc) return a one-shot task whose single step runs their

@@ -395,15 +395,6 @@ TEST(BatchEval, EnumerateBatchedMatchesScalar) {
           EXPECT_EQ(batched.counterexample->mis_label,
                     scalar.counterexample->mis_label);
         }
-        // Parallel find_first: same verdict/witness/work for any threads.
-        const verify::VerifyResult parallel = verify::enumerate_find_first(
-            query, {.batch = batch, .threads = 4});
-        EXPECT_EQ(parallel.verdict, scalar.verdict);
-        EXPECT_EQ(parallel.work, scalar.work);
-        if (scalar.counterexample) {
-          EXPECT_EQ(parallel.counterexample->deltas,
-                    scalar.counterexample->deltas);
-        }
       }
     }
   }

@@ -43,32 +43,57 @@ std::vector<Query> mixed_batch(std::size_t count, std::uint64_t seed) {
   return batch;
 }
 
+/// Three vulnerable queries whose bnb trees run to 5k-33k boxes, a batch
+/// smaller than an 8-thread pool.  Their box counts depend on when the
+/// lex-lowest-witness prune lands, so a search split across the pool's
+/// idle workers would change them.
+std::vector<Query> deep_batch() {
+  const nn::QuantizedNetwork& net = shared_net();
+  std::vector<Query> batch;
+  for (const auto& [x, range] :
+       {std::pair<std::vector<i64>, int>{{29, 14, 65}, 53},
+        {{38, 16, 52}, 58},
+        {{76, 42, 90}, 50}}) {
+    Query q;
+    q.net = &net;
+    q.x = x;
+    q.true_label = net.classify_noised(q.x, {});
+    q.box = NoiseBox::symmetric(3, range);
+    batch.push_back(std::move(q));
+  }
+  return batch;
+}
+
 bool same_result(const VerifyResult& a, const VerifyResult& b) {
   return a.verdict == b.verdict && a.work == b.work &&
          a.counterexample == b.counterexample;
 }
 
 TEST(Scheduler, RunAllIsIdenticalAndOrderedForOneVsManyThreads) {
-  const std::vector<Query> batch = mixed_batch(24, 5);
+  // A full batch, and one smaller than the 8-thread pool (idle workers
+  // must not change any result, `work` included).
   const Engine& bnb = engine("bnb");
+  for (const std::vector<Query>& batch : {mixed_batch(24, 5), deep_batch()}) {
+    BatchStats serial_stats;
+    const auto serial =
+        Scheduler({.threads = 1}).run_all(batch, bnb, &serial_stats);
+    ASSERT_EQ(serial.size(), batch.size());
 
-  BatchStats serial_stats;
-  const auto serial =
-      Scheduler({.threads = 1}).run_all(batch, bnb, &serial_stats);
-  ASSERT_EQ(serial.size(), batch.size());
-
-  for (const std::size_t threads : {2u, 8u}) {
-    BatchStats stats;
-    const auto parallel =
-        Scheduler({.threads = threads}).run_all(batch, bnb, &stats);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_TRUE(same_result(serial[i], parallel[i])) << "index " << i;
+    for (const std::size_t threads : {2u, 8u}) {
+      BatchStats stats;
+      const auto parallel =
+          Scheduler({.threads = threads}).run_all(batch, bnb, &stats);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_TRUE(same_result(serial[i], parallel[i]))
+            << "batch " << batch.size() << " threads " << threads
+            << " index " << i;
+      }
+      EXPECT_EQ(stats.queries, batch.size());
+      EXPECT_EQ(stats.total_work, serial_stats.total_work);
+      EXPECT_GE(stats.wall_ms, 0.0);
+      EXPECT_GE(stats.threads, 1u);
     }
-    EXPECT_EQ(stats.queries, batch.size());
-    EXPECT_EQ(stats.total_work, serial_stats.total_work);
-    EXPECT_GE(stats.wall_ms, 0.0);
-    EXPECT_GE(stats.threads, 1u);
   }
 }
 
@@ -118,26 +143,6 @@ TEST(Scheduler, StatsCountEngineDispatchesAsMissesWithoutCache) {
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_misses, batch.size());
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
-}
-
-TEST(Scheduler, IntraQueryGrantsKeepVerdictsAndWitnessesIdentical) {
-  // A batch smaller than the pool hands leftover threads to each query's
-  // branch-and-bound frontier; verdicts and witnesses must not move.
-  const std::vector<Query> batch = mixed_batch(3, 14);
-  const Engine& cascade = engine("cascade");
-  const auto serial = Scheduler({.threads = 1}).run_all(batch, cascade);
-  for (const SchedulerOptions& opts :
-       {SchedulerOptions{.threads = 8},                           // auto grant
-        SchedulerOptions{.threads = 4, .intra_query_threads = 2},  // fixed
-        SchedulerOptions{.threads = 2, .intra_query_threads = 8}}) {
-    const auto parallel = Scheduler(opts).run_all(batch, cascade);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].verdict, serial[i].verdict) << "index " << i;
-      EXPECT_EQ(parallel[i].counterexample, serial[i].counterexample)
-          << "index " << i;
-    }
-  }
 }
 
 TEST(Scheduler, EmptyBatchesAreNoOps) {

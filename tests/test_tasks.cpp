@@ -213,15 +213,31 @@ TEST(Task, PauseResumeAtArbitraryBoundariesIsBitIdentical) {
 }
 
 TEST(Task, CancelFinalizesUnfinishedWorkToResourceLimitedUnknown) {
-  const Engine& eng = engine("enumerate");
-  const Query q = big_robust_query(7);
-  const auto task = eng.make_task(q, {});
-  ASSERT_EQ(task->step(64), TaskState::kRunning);  // 101^3 points: not done
-  task->cancel();
-  ASSERT_EQ(task->step(64), TaskState::kDone);
-  EXPECT_EQ(task->result().verdict, Verdict::kUnknown);
-  EXPECT_TRUE(task->result().resource_limited);
-  EXPECT_FALSE(task->result().counterexample.has_value());
+  // A robust 8-20-2 query at +/-30 whose grid (61^8 points) and box tree
+  // outlast two 64-unit steps and whose screens answer kUnknown.  A
+  // cancelled task keeps the work its completed steps did: 128 grid points
+  // or boxes, or the cascade's two screens.
+  const nn::QuantizedNetwork net = nn::QuantizedNetwork::quantize(
+      nn::Network::random({8, 20, 2}, 202), 100);
+  Query q;
+  q.net = &net;
+  for (i64 i = 0; i < 8; ++i) q.x.push_back(10 + 11 * i);
+  q.true_label = net.classify_noised(q.x, {});
+  q.box = NoiseBox::symmetric(8, 30);
+  for (const auto& [name, completed] :
+       {std::pair<const char*, std::uint64_t>{"enumerate", 128},
+        {"bnb", 128},
+        {"cascade", 2}}) {
+    const auto task = engine(name).make_task(q, {});
+    ASSERT_EQ(task->step(64), TaskState::kRunning) << name;
+    ASSERT_EQ(task->step(64), TaskState::kRunning) << name;
+    task->cancel();
+    ASSERT_EQ(task->step(64), TaskState::kDone) << name;
+    EXPECT_EQ(task->result().verdict, Verdict::kUnknown) << name;
+    EXPECT_TRUE(task->result().resource_limited) << name;
+    EXPECT_FALSE(task->result().counterexample.has_value()) << name;
+    EXPECT_GE(task->result().work, completed) << name;
+  }
 }
 
 TEST(Task, ExpiredDeadlineFinalizesEveryNativeTask) {
@@ -310,15 +326,14 @@ TEST(TaskRace, ConcurrentPauseResumeCancelAgainstRunningSteps) {
   EXPECT_TRUE(r.verdict != Verdict::kUnknown || r.resource_limited);
 }
 
-TEST(TaskRace, MultiWorkerBnbTaskKeepsWorkerStateAcrossSteps) {
-  // A 4-worker bnb task parks its frontier and every worker's state (bound
-  // kernel, scratch query, SoA evaluator) between steps, and hands them to
-  // the next step's threads.  At any step quota, with a pause and resume
-  // between steps, it must decide the query exactly as a serial bnb_verify.
-  // Both trees (robust, then vulnerable) run to ~1.5k serial boxes with
-  // the bias node noised.  The robust tree is exhaustive, 1,399 boxes at
-  // any worker count, so even the 1024-box quota takes two steps; the
-  // vulnerable tree's count depends on when the workers' witnesses land.
+TEST(Task, BnbTaskKeepsSearchStateAcrossSteps) {
+  // A bnb task parks its frontier and its search state (bound kernel,
+  // top-1 set, box count, scratch boxes) between steps.  At any step
+  // quota, with a pause and resume between steps, it must decide the query
+  // exactly as bnb_verify's one unbounded step: same verdict, witness and
+  // box count.  Both trees (robust, then vulnerable) run to ~1.5k boxes
+  // with the bias node noised, so even the 1024-box quota takes two steps
+  // on the robust one (1,399 boxes).
   const Engine& eng = engine("bnb");
   struct Case {
     std::uint64_t net_seed;
@@ -335,7 +350,7 @@ TEST(TaskRace, MultiWorkerBnbTaskKeepsWorkerStateAcrossSteps) {
     q.box = NoiseBox::symmetric(5, 40);
     const VerifyResult serial = bnb_verify(q);
     for (const std::uint64_t step_work : {1ull, 16ull, 1024ull}) {
-      const auto task = eng.make_task(q, VerifyContext{.threads = 4});
+      const auto task = eng.make_task(q, {});
       std::uint64_t steps = 1;
       while (task->step(step_work) != TaskState::kDone) {
         task->pause();
@@ -350,6 +365,8 @@ TEST(TaskRace, MultiWorkerBnbTaskKeepsWorkerStateAcrossSteps) {
       EXPECT_EQ(r.verdict, serial.verdict)
           << "net " << c.net_seed << " step " << step_work;
       EXPECT_EQ(r.counterexample, serial.counterexample)
+          << "net " << c.net_seed << " step " << step_work;
+      EXPECT_EQ(r.work, serial.work)
           << "net " << c.net_seed << " step " << step_work;
     }
   }

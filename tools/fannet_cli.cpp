@@ -41,7 +41,6 @@ struct Options {
   std::string command;
   std::string engine = "cascade";
   std::size_t threads = 0;          // 0 = hardware concurrency
-  std::size_t intra_threads = 0;    // 0 = leftover threads per query
   std::size_t batch = 0;            // SoA lanes; 0 = auto, 1 = scalar
   std::uint64_t deadline_ms = 0;    // per-query deadline; 0 = none
   int start_range = 50;             // tolerance / boundary / weight-faults
@@ -77,9 +76,6 @@ commands
 flags
   --engine NAME        P2 decision engine (default: cascade)
   --threads N          worker threads, 0 = one per hardware thread (default 0)
-  --intra-threads N    worker budget inside each P2 query (branch-and-bound
-                       work-stealing frontier); 0 = grant the threads left
-                       over when a batch is smaller than the pool (default 0)
   --batch N            SoA evaluation lanes per vectorized forward pass
                        (tolerance, boundary, sensitivity, weight-faults);
                        0 = auto, 1 = the scalar reference path (default 0);
@@ -170,10 +166,6 @@ Options parse_args(int argc, char** argv) {
       opts.engine = value();
     } else if (flag == "--threads") {
       if (!parse_size(value(), opts.threads)) usage_error("bad --threads");
-    } else if (flag == "--intra-threads") {
-      if (!parse_size(value(), opts.intra_threads)) {
-        usage_error("bad --intra-threads");
-      }
     } else if (flag == "--batch") {
       if (!parse_size(value(), opts.batch)) usage_error("bad --batch");
     } else if (flag == "--deadline-ms") {
@@ -270,7 +262,6 @@ core::ToleranceReport run_tolerance(const core::CaseStudy& cs,
   config.start_range = opts.start_range;
   config.engine = core::Engine{opts.engine};
   config.threads = opts.threads;
-  config.intra_query_threads = opts.intra_threads;
   config.batch = opts.batch;
   config.deadline_ms = opts.deadline_ms;
   config.sweep = sweep;
@@ -284,7 +275,6 @@ core::NodeSensitivityReport run_sensitivity(
   core::SensitivityConfig config;
   config.engine = core::Engine{opts.engine};
   config.threads = opts.threads;
-  config.intra_query_threads = opts.intra_threads;
   config.batch = opts.batch;
   config.deadline_ms = opts.deadline_ms;
   config.sweep = sweep;
