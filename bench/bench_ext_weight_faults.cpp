@@ -8,23 +8,32 @@
 // to the naive whole-network rescan — for 1, 2 and 8 worker threads —
 // while performing strictly fewer per-layer evaluations, and its wall
 // speedup is gated and recorded in BENCH_weight_faults.json
-// (docs/bench-format.md).
+// (docs/bench-format.md).  The gate runs on two inputs, each under the
+// percent and bit-flip models: the small cohort (5-20-2, where the rank-1
+// step lands on the output layer) and a deeper 24-32-16-4 net (where a
+// full layer follows it).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/casestudy.hpp"
 #include "core/fannet.hpp"
 #include "core/faults.hpp"
+#include "la/matrix.hpp"
+#include "nn/network.hpp"
+#include "nn/quantized.hpp"
 #include "util/benchjson.hpp"
+#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
 
 using namespace fannet;
+using util::i64;
 
 /// Wall-clock gate for the incremental engine on the small cohort.  The
 /// measured local speedup is ~3-8x; the floor is deliberately loose so CI
@@ -43,25 +52,60 @@ bool reports_identical(const core::WeightFaultReport& a,
          a.undecided_candidates == b.undecided_candidates && a.model == b.model;
 }
 
+/// One input of the identity and speedup gate.
+struct GateInput {
+  std::string name;  ///< record-name prefix ("" for the small cohort)
+  nn::QuantizedNetwork net;
+  la::Matrix<i64> inputs;
+  std::vector<int> labels;
+  int max_percent = 50;
+};
+
+/// A wider and deeper net than the case study.  Input-heavy on purpose:
+/// feature-rich inputs are the realistic shape for this domain (the
+/// paper's case study selects from 7129 gene-expression features), and
+/// they put most of the parameters in layer 0, whose rank-1 step is
+/// followed by a full 16-neuron layer.  Every sample classifies correctly
+/// by construction (labels come from the network itself).
+GateInput deep_input() {
+  GateInput in{"deep_",
+               nn::QuantizedNetwork::quantize(
+                   nn::Network::random({24, 32, 16, 4}, 21), 100),
+               la::Matrix<i64>(16, 24), {}, 10};
+  util::Rng rng(23);
+  for (std::size_t s = 0; s < in.inputs.rows(); ++s) {
+    for (std::size_t i = 0; i < in.inputs.cols(); ++i) {
+      in.inputs(s, i) = rng.uniform_int(1, 100);
+    }
+    in.labels.push_back(in.net.classify_noised(in.inputs.row(s), {}));
+  }
+  return in;
+}
+
 /// Gate: naive-vs-incremental bit-identity, strictly-fewer layer
 /// evaluations, thread-count determinism, and the wall-clock speedup.
-int run_identity_and_speedup_gate(const core::CaseStudy& cs,
+int run_identity_and_speedup_gate(const GateInput& in,
+                                  core::FaultModel model,
                                   util::BenchJson& json) {
-  std::puts("=== Gate: incremental vs naive scan (small cohort) ===");
+  const std::string model_name(core::fault_model_name(model));
+  std::printf("=== Gate: incremental vs naive scan (%s, %s) ===\n",
+              in.name.empty() ? "small cohort" : "24-32-16-4 net",
+              model_name.c_str());
   core::WeightFaultConfig config;
-  config.max_percent = 50;
+  config.max_percent = in.max_percent;
   config.threads = 1;
+  config.model = model;
 
   config.scan = core::FaultScan::kNaive;
   const util::Stopwatch naive_watch;
   const core::WeightFaultReport naive =
-      core::analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
+      core::analyze_weight_faults(in.net, in.inputs, in.labels, config);
   const double naive_ms = naive_watch.millis();
 
   config.scan = core::FaultScan::kIncremental;
   const util::Stopwatch inc_watch;
   const core::WeightFaultReport incremental =
-      core::analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
+      core::analyze_weight_faults(in.net, in.inputs, in.labels, config);
   const double incremental_ms = inc_watch.millis();
 
   if (!reports_identical(naive, incremental)) {
@@ -80,7 +124,7 @@ int run_identity_and_speedup_gate(const core::CaseStudy& cs,
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     config.threads = threads;
     const core::WeightFaultReport parallel =
-        core::analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
+        core::analyze_weight_faults(in.net, in.inputs, in.labels, config);
     if (!reports_identical(incremental, parallel) ||
         parallel.layer_evaluations != incremental.layer_evaluations) {
       std::fprintf(stderr, "FAIL: report differs at %zu threads\n", threads);
@@ -100,10 +144,14 @@ int run_identity_and_speedup_gate(const core::CaseStudy& cs,
                  "gate\n", speedup, kMinSpeedup);
     return EXIT_FAILURE;
   }
-  json.add("naive_scan", naive_ms, naive.layer_evaluations, 1);
-  json.add("incremental_scan", incremental_ms, incremental.layer_evaluations,
+  const std::string suffix =
+      model == core::FaultModel::kPercentScale ? "" : "_" + model_name;
+  json.add(in.name + "naive_scan" + suffix, naive_ms, naive.layer_evaluations,
            1);
-  json.add("speedup_x100_incremental", 100.0 * speedup, 0, 1);
+  json.add(in.name + "incremental_scan" + suffix, incremental_ms,
+           incremental.layer_evaluations, 1);
+  json.add(in.name + "speedup_x100_incremental" + suffix, 100.0 * speedup, 0,
+           1);
   return EXIT_SUCCESS;
 }
 
@@ -181,8 +229,15 @@ int main(int argc, char** argv) {
 
   const core::CaseStudy small =
       core::build_case_study(core::small_case_study_config());
-  if (run_identity_and_speedup_gate(small, json) != EXIT_SUCCESS) {
-    return EXIT_FAILURE;
+  const GateInput inputs[] = {
+      {"", small.qnet, small.test_x, small.test_y, 50}, deep_input()};
+  for (const GateInput& in : inputs) {
+    for (const core::FaultModel model :
+         {core::FaultModel::kPercentScale, core::FaultModel::kBitFlip}) {
+      if (run_identity_and_speedup_gate(in, model, json) != EXIT_SUCCESS) {
+        return EXIT_FAILURE;
+      }
+    }
   }
   run_fault_models(small, json);
 

@@ -1,11 +1,10 @@
 // Resumable-sweep gate: the weight-fault campaign on the small cohort is
 // run four ways —
 //
-//   1. the scalar scan loop (batch = 1) in memory: the reference report;
-//   2. the default batched scan in memory at shard size 8 and 1/2/8
-//      threads — must be bit-identical to the reference, so the identity
-//      gate compares two scan implementations, not the campaign with
-//      itself;
+//   1. the direct scan in memory (one thread, default shards): the
+//      reference report;
+//   2. in-memory sweeps at shard size 8 and 1/2/8 threads — must be
+//      bit-identical to the reference;
 //   3. a cold fully-journaled run (the warm-resume baseline wall clock);
 //   4. a kill -> resume cycle per thread count: a capped partial run
 //      journals ~80% of the shards, a torn line is appended (simulating a
@@ -65,19 +64,16 @@ int main() {
 
   std::puts("=== Sweep gate: weight-fault campaign, small cohort ===");
 
-  // 1. Reference: the scalar scan loop, bit-identical to the batched
-  // replay the other arms run by contract.
-  core::WeightFaultConfig reference_config = base_config();
-  reference_config.batch = 1;
+  // 1. Reference: the direct in-memory scan.
   const util::Stopwatch direct_watch;
   const core::WeightFaultReport reference = core::analyze_weight_faults(
-      cs.qnet, cs.test_x, cs.test_y, reference_config);
+      cs.qnet, cs.test_x, cs.test_y, base_config());
   const double direct_ms = direct_watch.millis();
   json.add("direct_scan", direct_ms, reference.evaluations, 1);
-  std::printf("  scalar scan      : %8.1f ms  (%zu parameters)\n", direct_ms,
+  std::printf("  direct scan      : %8.1f ms  (%zu parameters)\n", direct_ms,
               reference.faults.size());
 
-  // 2. Batched scan, no journal, 1/2/8 threads: bit-identical to the
+  // 2. In-memory sweeps, no journal, 1/2/8 threads: bit-identical to the
   // reference.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
@@ -94,7 +90,7 @@ int main() {
     if (!swept.sweep.complete() || !same_report(reference, swept)) {
       std::fprintf(stderr,
                    "FAIL: in-memory sweep at %zu threads differs from the "
-                   "scalar scan\n",
+                   "direct scan\n",
                    threads);
       return EXIT_FAILURE;
     }
@@ -115,7 +111,7 @@ int main() {
   std::printf("  cold journaled   : %8.1f ms  (%zu shards)\n", cold_ms,
               cold.sweep.total_shards);
   if (!same_report(reference, cold)) {
-    std::fputs("FAIL: cold journaled sweep differs from the scalar scan\n",
+    std::fputs("FAIL: cold journaled sweep differs from the direct scan\n",
                stderr);
     return EXIT_FAILURE;
   }

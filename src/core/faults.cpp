@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/report.hpp"
-#include "nn/batch_eval.hpp"
 #include "util/checked.hpp"
 #include "util/error.hpp"
 
@@ -97,117 +96,16 @@ struct ParamScanCounters {
   std::uint64_t undecided = 0;
 };
 
-/// Batched incremental scan of one parameter: the serial candidate x
-/// sample attempt stream is staged in chunks of SoA lanes (all sharing the
-/// faulted layer), evaluated through PrefixEvaluator::classify_patched_batch,
-/// then *replayed in serial order* — so the first flip found, the counters
-/// charged (only up to the serial scan's terminal event), and the
-/// undecided accounting are bit-identical to scan_parameter's scalar loop.
-/// Lanes staged past the serial stop are discarded uncharged; a lane the
-/// kernel flags as overflowing aborts its candidate exactly like the
-/// scalar ArithmeticError would.
-void scan_parameter_batched(const nn::QuantizedNetwork& net,
-                            const std::vector<int>& labels,
-                            const WeightFaultConfig& config,
-                            const std::vector<std::size_t>& correct,
-                            const nn::PrefixEvaluator& prefix,
-                            const nn::BatchEvaluator& batcher,
-                            const std::vector<FaultCandidate>& candidates,
-                            i64 original, std::size_t col, WeightFault& fault,
-                            ParamScanCounters& counters) {
-  const std::size_t depth = net.depth();
-  const std::size_t full_chunk =
-      nn::BatchEvaluator::resolve_batch(config.batch);
-
-  struct Event {
-    bool is_lane = false;   // false = "candidate undecided" marker (!raw)
-    std::size_t cand = 0;   // candidate index
-    std::size_t sample = 0; // lane events only
-  };
-  nn::PrefixEvaluator::BatchScratch scratch;
-  std::vector<nn::PrefixEvaluator::PatchLane> lanes;
-  std::vector<Event> events;
-
-  std::size_t ci = 0;  // staging cursor: next candidate ...
-  std::size_t si = 0;  // ... and next index into `correct` within it
-  // Ramp the chunk size up from small: fragile parameters flip within the
-  // first few attempts, and a short first chunk keeps that early exit
-  // near-scalar.
-  std::size_t chunk = std::min<std::size_t>(8, full_chunk);
-
-  while (ci < candidates.size()) {
-    lanes.clear();
-    events.clear();
-    while (lanes.size() < chunk && ci < candidates.size()) {
-      const FaultCandidate& candidate = candidates[ci];
-      if (!candidate.raw) {
-        events.push_back({false, ci, 0});
-        ++ci;
-        continue;
-      }
-      if (*candidate.raw == original || correct.empty()) {
-        ++ci;  // no-op candidate / nothing to test: no events, like serial
-        continue;
-      }
-      events.push_back({true, ci, correct[si]});
-      lanes.push_back({correct[si], fault.row, col, *candidate.raw});
-      if (++si == correct.size()) {
-        si = 0;
-        ++ci;
-      }
-    }
-    prefix.classify_patched_batch(batcher, fault.layer, lanes, scratch);
-
-    // Serial replay of the staged events.
-    std::size_t lane_idx = 0;
-    std::size_t aborted_cand = candidates.size();  // sentinel: none
-    for (const Event& event : events) {
-      if (!event.is_lane) {
-        ++counters.undecided;
-        continue;
-      }
-      const std::size_t t = lane_idx++;
-      if (event.cand == aborted_cand) continue;  // serial never attempted it
-      ++counters.evaluations;
-      counters.layer_evaluations += depth - fault.layer;
-      if (scratch.overflow[t] != 0) {
-        // The scalar attempt would have thrown ArithmeticError: the serial
-        // scan marks the candidate undecided and moves to the next one.
-        aborted_cand = event.cand;
-        ++counters.undecided;
-        continue;
-      }
-      if (scratch.labels[t] != labels[event.sample]) {
-        const FaultCandidate& candidate = candidates[event.cand];
-        fault.min_flip_percent = candidate.severity;
-        fault.flip_sign = candidate.sign;
-        fault.flipped_sample = event.sample;
-        fault.flipped_raw = *candidate.raw;
-        return;  // everything staged past here is past the serial stop
-      }
-    }
-    // An abort only voids the rest of its own candidate; if the staging
-    // cursor is still inside that candidate, fast-forward past it.
-    if (aborted_cand != candidates.size() && ci == aborted_cand) {
-      si = 0;
-      ++ci;
-    }
-    chunk = std::min(chunk * 2, full_chunk);
-  }
-}
-
 /// One parameter's candidate scan, i.e. one campaign unit: fills `fault`'s
 /// flip fields (if any candidate flips a correct sample) and accumulates
 /// the cost counters.  `prefix` selects the incremental engine; null falls
-/// back to the naive per-task patched copy of `net`.  A non-null `batcher`
-/// (incremental only) routes the scan through the SoA replay above.
+/// back to the naive per-task patched copy of `net`.
 void scan_parameter(const nn::QuantizedNetwork& net,
                     const la::Matrix<i64>& inputs,
                     const std::vector<int>& labels,
                     const WeightFaultConfig& config,
                     const std::vector<std::size_t>& correct,
-                    const nn::PrefixEvaluator* prefix,
-                    const nn::BatchEvaluator* batcher, WeightFault& fault,
+                    const nn::PrefixEvaluator* prefix, WeightFault& fault,
                     ParamScanCounters& counters) {
   const std::size_t depth = net.depth();
   const nn::QLayer& layer = net.layers()[fault.layer];
@@ -215,12 +113,6 @@ void scan_parameter(const nn::QuantizedNetwork& net,
   const i64 original = net.param_raw(fault.layer, fault.row, col);
   const std::vector<FaultCandidate> candidates =
       fault_candidates(config, original);
-
-  if (prefix != nullptr && batcher != nullptr) {
-    scan_parameter_batched(net, labels, config, correct, *prefix, *batcher,
-                           candidates, original, col, fault, counters);
-    return;
-  }
 
   // Incremental: per-call scratch over the shared read-only memo.
   // Naive: one private working copy per parameter, patched in place per
@@ -287,7 +179,6 @@ class WeightFaultCampaign final : public verify::SweepCampaign {
                       const WeightFaultConfig& config,
                       std::vector<std::size_t> correct,
                       const nn::PrefixEvaluator* prefix,
-                      const nn::BatchEvaluator* batcher,
                       WeightFaultReport& report)
       : net_(net),
         inputs_(inputs),
@@ -295,7 +186,6 @@ class WeightFaultCampaign final : public verify::SweepCampaign {
         config_(config),
         correct_(std::move(correct)),
         prefix_(prefix),
-        batcher_(batcher),
         report_(report) {}
 
   [[nodiscard]] std::string_view name() const override {
@@ -328,7 +218,7 @@ class WeightFaultCampaign final : public verify::SweepCampaign {
       WeightFault fault = report_.faults[u];
       ParamScanCounters counters;
       scan_parameter(net_, inputs_, labels_, config_, correct_, prefix_,
-                     batcher_, fault, counters);
+                     fault, counters);
       rows.push_back({static_cast<std::int64_t>(u),
                       fault.min_flip_percent ? 1 : 0,
                       fault.min_flip_percent ? *fault.min_flip_percent : 0,
@@ -375,7 +265,6 @@ class WeightFaultCampaign final : public verify::SweepCampaign {
   const WeightFaultConfig& config_;
   std::vector<std::size_t> correct_;
   const nn::PrefixEvaluator* prefix_;
-  const nn::BatchEvaluator* batcher_;
   WeightFaultReport& report_;
 };
 
@@ -397,15 +286,6 @@ WeightFaultReport analyze_weight_faults(const nn::QuantizedNetwork& net,
   // suffix); the naive engine keeps no state and rescans from layer 0.
   std::optional<nn::PrefixEvaluator> prefix;
   if (config.scan == FaultScan::kIncremental) prefix.emplace(net, inputs);
-
-  // SoA evaluator for the batched suffix re-evaluation (DESIGN.md §10);
-  // shared read-only across workers (each thread keeps its own scratch).
-  // batch == 1 keeps the scalar reference loop; the naive engine is
-  // always scalar.
-  std::optional<nn::BatchEvaluator> batcher;
-  if (prefix && nn::BatchEvaluator::resolve_batch(config.batch) > 1) {
-    batcher.emplace(net);
-  }
 
   // Only correctly-classified samples count (as in the noise analyses).
   // PrefixEvaluator::base_class is the memoized value of the same
@@ -438,8 +318,7 @@ WeightFaultReport analyze_weight_faults(const nn::QuantizedNetwork& net,
   }
 
   WeightFaultCampaign campaign(net, inputs, labels, config, std::move(correct),
-                               prefix ? &*prefix : nullptr,
-                               batcher ? &*batcher : nullptr, report);
+                               prefix ? &*prefix : nullptr, report);
   verify::SweepOptions options = config.sweep;
   if (options.threads == 0) options.threads = config.threads;
   report.sweep = verify::SweepRunner(options).run(campaign);

@@ -17,11 +17,14 @@
 /// The scan is exact: every candidate fault is evaluated with the integer
 /// evaluator (no bounds, no floats); completeness over the candidate grid
 /// follows by exhaustion.  The default engine is *incremental*
-/// (nn::PrefixEvaluator, DESIGN.md §8): per-sample activations are memoized
-/// at every layer boundary once, and each candidate re-evaluates only the
-/// faulted layer (a single-entry delta update) and the layers after it.
-/// The naive whole-network rescan survives as the reference oracle; both
-/// produce bit-identical reports.  The scan runs as a sweep campaign, one
+/// (nn::PrefixEvaluator, DESIGN.md §8): per-sample pre-activations are
+/// memoized at every layer boundary once.  Each candidate then costs a
+/// single-entry delta update of the faulted layer, a rank-1 update of the
+/// next layer (one weight column times the change in the one activation
+/// that moved, skipped when it did not move), and a full re-evaluation of
+/// any layers after that.  On the paper's 5-20-2 net that is at most three
+/// multiply-adds per candidate and sample.  The naive whole-network rescan
+/// survives as the reference oracle; both produce bit-identical reports.  The scan runs as a sweep campaign, one
 /// unit per parameter; a `WeightFaultConfig::sweep` journal makes a long
 /// scan resumable (DESIGN.md §9).
 #pragma once
@@ -116,14 +119,6 @@ struct WeightFaultConfig {
   std::size_t threads = 0;
   FaultModel model = FaultModel::kPercentScale;
   FaultScan scan = FaultScan::kIncremental;
-  /// SoA evaluation lanes for the incremental engine's batched suffix
-  /// re-evaluation (DESIGN.md §10): candidate x sample attempts sharing the
-  /// faulted layer are staged together and re-evaluated through one
-  /// vectorized kernel.  0 = auto (nn::BatchEvaluator::kAutoBatch), 1 = the
-  /// scalar reference path; the naive oracle engine always runs scalar.
-  /// Reports are bit-identical for every value (deliberately excluded from
-  /// the sweep fingerprint, like `threads`).
-  std::size_t batch = 0;
   /// How the scan campaign runs through verify::SweepRunner (DESIGN.md
   /// §9), one unit per parameter.  The default runs it in memory; a
   /// `journal_path` lets a multi-hour fault campaign killed mid-flight

@@ -289,6 +289,19 @@ class SatTask final : public verify::EngineTask {
     }
   }
 
+  // Between steps the session may hold a verified witness from its
+  // minimization; finalize it as a probe stalled by the interruption
+  // would, so the witness survives (flagged) and `work` counts the
+  // conflicts spent.
+  void finalize_interrupted(verify::VerifyResult& out) override {
+    if (!session_.has_value()) {
+      EngineTask::finalize_interrupted(out);
+      return;
+    }
+    session_->finalize_stalled();
+    out = session_->take_result();
+  }
+
   [[nodiscard]] bool engine_budget_spent() {
     const sat::SolverStats& s = session_->solver().stats();
     return (options_.conflict_budget != 0 &&

@@ -80,16 +80,10 @@ void scrub_flagged(u64* next, std::size_t out, std::size_t lanes,
 ///
 /// `bm_lanes` non-null = per-lane bias multiplier (layer 0); else
 /// `bm_scalar` applies to every lane.
-///
-/// `act_max_hint` non-null skips the O(in * lanes) activation scan; the
-/// caller guarantees the hint is >= the true max |act|.  The hint feeds
-/// only the conservative bound, so an over-estimate can at worst divert
-/// the layer to the exact i128 path — which is bit-identical anyway.
 FANNET_TARGET_CLONES
 void soa_layer_forward(const QLayer& l, std::size_t lanes, const u64* act,
                        u64* next, const i64* bm_lanes, i64 bm_scalar,
-                       std::span<const u64> abs_rowsum,
-                       const u64* act_max_hint, std::uint8_t* overflow,
+                       std::span<const u64> abs_rowsum, std::uint8_t* overflow,
                        bool& any_flagged) {
   const std::size_t out = l.out_dim();
   const std::size_t in = l.in_dim();
@@ -102,8 +96,7 @@ void soa_layer_forward(const QLayer& l, std::size_t lanes, const u64* act,
   } else {
     bm_max = abs_u64(bm_scalar);
   }
-  const u64 act_max =
-      act_max_hint != nullptr ? *act_max_hint : max_abs_i64(act, in * lanes);
+  const u64 act_max = max_abs_i64(act, in * lanes);
 
   bool fast = true;
   for (std::size_t j = 0; j < out; ++j) {
@@ -334,7 +327,7 @@ void BatchEvaluator::run(Batch& batch) const {
     batch.next_.resize(l.out_dim() * lanes);
     soa_layer_forward(l, lanes, batch.act_.data(), batch.next_.data(),
                       li == 0 ? batch.bm0_.data() : nullptr,
-                      li == 0 ? 0 : bias_mult_[li], abs_rowsum_[li], nullptr,
+                      li == 0 ? 0 : bias_mult_[li], abs_rowsum_[li],
                       batch.overflow_.data(), any_flagged);
     if (li + 1 < layers.size() && l.relu) {
       soa_relu(batch.next_.data(), l.out_dim() * lanes);
@@ -348,141 +341,6 @@ void BatchEvaluator::run(Batch& batch) const {
     }
   }
   soa_argmax(batch.act_.data(), out, lanes, batch.best_, batch.labels_);
-}
-
-void PrefixEvaluator::classify_patched_batch(const BatchEvaluator& evaluator,
-                                             std::size_t layer,
-                                             std::span<const PatchLane> lanes,
-                                             BatchScratch& scratch) const {
-  if (evaluator.net_ != net_) {
-    throw InvalidArgument(
-        "classify_patched_batch: evaluator bound to a different network");
-  }
-  const std::size_t depth = net_->depth();
-  if (layer >= depth) {
-    throw InvalidArgument("PrefixEvaluator: layer out of range");
-  }
-  const QLayer& fl = net_->layers()[layer];
-  const std::size_t count = lanes.size();
-  scratch.patched_pre.assign(count, 0);
-  scratch.overflow.assign(count, 0);
-  scratch.labels.assign(count, 0);
-  if (count == 0) return;
-
-  bool any_flagged = false;
-  for (std::size_t t = 0; t < count; ++t) {
-    const PatchLane& lane = lanes[t];
-    if (lane.sample >= pres_.size()) {
-      throw InvalidArgument("PrefixEvaluator: sample out of range");
-    }
-    if (lane.row >= fl.out_dim() || lane.col > fl.in_dim()) {
-      throw InvalidArgument("PrefixEvaluator: parameter index out of range");
-    }
-    // Same single-entry delta update as the scalar classify_patched: the
-    // patched accumulation is the memoized one plus (raw' - raw) times the
-    // input the parameter multiplies.
-    const i64 old_raw = (lane.col == fl.in_dim()) ? fl.bias[lane.row]
-                                                  : fl.weights(lane.row,
-                                                               lane.col);
-    i64 input_value = 0;
-    if (lane.col == fl.in_dim()) {
-      input_value = bias_mult_[layer];
-    } else if (layer == 0) {
-      input_value = inputs_[lane.sample][lane.col];
-    } else {
-      input_value = pres_[lane.sample][layer - 1][lane.col];
-      if (net_->layers()[layer - 1].relu) {
-        input_value = std::max<i64>(0, input_value);
-      }
-    }
-    const i128 patched_acc =
-        static_cast<i128>(pres_[lane.sample][layer][lane.row]) +
-        (static_cast<i128>(lane.raw) - old_raw) *
-            static_cast<i128>(input_value);
-    if (patched_acc > kI64Max || patched_acc < kI64Min) {
-      scratch.overflow[t] = 1;
-      any_flagged = true;
-    } else {
-      scratch.patched_pre[t] = static_cast<i64>(patched_acc);
-    }
-  }
-
-  if (layer + 1 == depth) {
-    // Output-layer fault: per-lane argmax over the memoized outputs with
-    // one entry substituted — no suffix evaluation at all.
-    for (std::size_t t = 0; t < count; ++t) {
-      if (scratch.overflow[t]) continue;
-      const PatchLane& lane = lanes[t];
-      const std::vector<i64>& out = pres_[lane.sample][layer];
-      std::size_t best = 0;
-      i64 best_value = (lane.row == 0) ? scratch.patched_pre[t] : out[0];
-      for (std::size_t i = 1; i < out.size(); ++i) {
-        const i64 v = (i == lane.row) ? scratch.patched_pre[t] : out[i];
-        if (v > best_value) {
-          best = i;
-          best_value = v;
-        }
-      }
-      scratch.labels[t] = static_cast<int>(best);
-    }
-    return;
-  }
-
-  // SoA activations entering layer+1: per lane, ReLU of the memoized
-  // pre-activations with the patched entry substituted.  Flagged lanes are
-  // zeroed so they stay inert (the scalar path already threw for them).
-  // Every (i, t) slot is written exactly once, so the buffer is resized
-  // without a redundant zero-fill, and the running `act_max` replaces the
-  // first suffix layer's activation scan.  The max also counts the memo
-  // value the patch overwrites, which can only over-estimate — safe for
-  // the bound (see soa_layer_forward's act_max_hint contract).
-  const std::size_t suffix_in = fl.out_dim();
-  scratch.act.resize(suffix_in * count);
-  u64 act_max = 0;
-  for (std::size_t t = 0; t < count; ++t) {
-    if (scratch.overflow[t]) {
-      for (std::size_t i = 0; i < suffix_in; ++i) {
-        scratch.act[i * count + t] = 0;
-      }
-      continue;
-    }
-    const PatchLane& lane = lanes[t];
-    const i64* memo = pres_[lane.sample][layer].data();
-    if (fl.relu) {
-      for (std::size_t i = 0; i < suffix_in; ++i) {
-        const u64 v = static_cast<u64>(std::max<i64>(0, memo[i]));
-        scratch.act[i * count + t] = v;
-        act_max = std::max(act_max, v);  // post-ReLU, so |v| == v
-      }
-      const u64 p = static_cast<u64>(std::max<i64>(0, scratch.patched_pre[t]));
-      scratch.act[lane.row * count + t] = p;
-      act_max = std::max(act_max, p);
-    } else {
-      for (std::size_t i = 0; i < suffix_in; ++i) {
-        scratch.act[i * count + t] = static_cast<u64>(memo[i]);
-        act_max = std::max(act_max, abs_u64(memo[i]));
-      }
-      scratch.act[lane.row * count + t] =
-          static_cast<u64>(scratch.patched_pre[t]);
-      act_max = std::max(act_max, abs_u64(scratch.patched_pre[t]));
-    }
-  }
-
-  for (std::size_t li = layer + 1; li < depth; ++li) {
-    const QLayer& l = net_->layers()[li];
-    scratch.next.resize(l.out_dim() * count);
-    soa_layer_forward(l, count, scratch.act.data(), scratch.next.data(),
-                      nullptr, bias_mult_[li], evaluator.abs_rowsum_[li],
-                      li == layer + 1 ? &act_max : nullptr,
-                      scratch.overflow.data(), any_flagged);
-    if (li + 1 < depth && l.relu) {
-      soa_relu(scratch.next.data(), l.out_dim() * count);
-    }
-    std::swap(scratch.act, scratch.next);
-  }
-
-  soa_argmax(scratch.act.data(), net_->layers().back().out_dim(), count,
-             scratch.best, scratch.labels);
 }
 
 }  // namespace fannet::nn

@@ -1,14 +1,17 @@
 /// \file
 /// \brief Batched structure-of-arrays forward evaluation (DESIGN.md §10).
 ///
-/// Every FANNet analysis bottoms out in thousands of independent forward
-/// passes over ONE set of weights (enumerate screens, tolerance descents,
-/// sensitivity probes, weight-fault candidate scans).  `BatchEvaluator`
-/// evaluates N samples simultaneously with activations stored
-/// [neuron][sample]: the inner int64 multiply-accumulate runs over the
-/// sample lanes with stride 1, so plain -O2/-O3 auto-vectorizes it (no
-/// intrinsics; the FANNET_VERIFY_VECTORIZE CMake knob makes CI prove the
-/// loop still vectorizes).
+/// The noise analyses bottom out in thousands of independent forward
+/// passes over ONE set of weights.  Its consumers are enumerate's grid
+/// walks (tolerance screens and descents, sensitivity probes) and bnb's
+/// box-corner flip drains.  `BatchEvaluator` evaluates N samples
+/// simultaneously with activations stored [neuron][sample]: the inner
+/// int64 multiply-accumulate runs over the sample lanes with stride 1, so
+/// plain -O2/-O3 auto-vectorizes it (no intrinsics; the
+/// FANNET_VERIFY_VECTORIZE CMake knob makes CI prove the loop still
+/// vectorizes).  The weight-fault scan does not use it: its rank-1 update
+/// (quantized.hpp's `PrefixEvaluator`) costs a few multiply-adds per
+/// candidate, less than staging a lane.
 ///
 /// Results are bit-identical to the scalar path (quantized.hpp's
 /// `eval_output`/`classify`, the reference oracle), including overflow
@@ -122,8 +125,6 @@ class BatchEvaluator {
   void run(Batch& batch) const;
 
  private:
-  friend class PrefixEvaluator;  // batched suffix re-eval shares the kernel
-
   const QuantizedNetwork* net_;
   /// Running bias multiplier per layer (layer 0's is per-lane at run time;
   /// entry 0 holds input_norm * 100 for reference).  Empty tail when the

@@ -332,16 +332,37 @@ int PrefixEvaluator::classify_patched(std::size_t sample, std::size_t layer,
     return static_cast<int>(best);
   }
 
-  // Activations entering layer+1 (ReLU of the memoized pre-activations)
-  // with entry `row` patched, then a full evaluation of the suffix layers.
-  const std::vector<i64>& memo_pre = pres_[sample][layer];
-  scratch.act.assign(memo_pre.begin(), memo_pre.end());
-  if (fl.relu) {
-    for (i64& v : scratch.act) v = std::max<i64>(0, v);
-  }
-  scratch.act[row] = fl.relu ? std::max<i64>(0, patched_pre) : patched_pre;
+  // Rank-1 step: the patch moves one activation entering layer+1 from a to
+  // a', so layer+1's accumulations are the memoized ones plus weight column
+  // `row` times (a' - a).  No wrap: |a' - a| <= 2^64 - 1, |w| <= 2^63 and
+  // the memoized value fits int64, so each sum is exact in i128 — the same
+  // value a full rescan accumulates, narrowed the same way.  When a' == a
+  // (an inactive ReLU neuron that stays inactive) nothing downstream
+  // changes, nothing downstream can overflow, and the memoized class is the
+  // answer.
+  const i64 memo_pre = pres_[sample][layer][row];
+  const i64 act = fl.relu ? std::max<i64>(0, memo_pre) : memo_pre;
+  const i64 patched_act = fl.relu ? std::max<i64>(0, patched_pre) : patched_pre;
+  if (patched_act == act) return base_class_[sample];
+  const i128 act_delta = static_cast<i128>(patched_act) - act;
 
-  for (std::size_t li = layer + 1; li < depth; ++li) {
+  const QLayer& nl = net_->layers()[layer + 1];
+  const std::vector<i64>& memo_next = pres_[sample][layer + 1];
+  scratch.next.resize(nl.out_dim());
+  for (std::size_t j = 0; j < nl.out_dim(); ++j) {
+    scratch.next[j] = util::narrow_i128(
+        static_cast<i128>(memo_next[j]) +
+        static_cast<i128>(nl.weights(j, row)) * act_delta);
+  }
+  ++scratch.layer_evaluations;
+
+  // The layers after layer+1 see a changed activation vector in general,
+  // so they are re-evaluated in full.
+  for (std::size_t li = layer + 2; li < depth; ++li) {
+    if (net_->layers()[li - 1].relu) {
+      for (i64& v : scratch.next) v = std::max<i64>(0, v);
+    }
+    std::swap(scratch.act, scratch.next);
     const QLayer& l = net_->layers()[li];
     scratch.next.resize(l.out_dim());
     for (std::size_t j = 0; j < l.out_dim(); ++j) {
@@ -353,12 +374,6 @@ int PrefixEvaluator::classify_patched(std::size_t sample, std::size_t layer,
       scratch.next[j] = util::narrow_i128(acc);
     }
     ++scratch.layer_evaluations;
-    if (li + 1 < depth) {
-      if (l.relu) {
-        for (i64& v : scratch.next) v = std::max<i64>(0, v);
-      }
-      std::swap(scratch.act, scratch.next);
-    }
   }
   return argmax_tie_low_i64(scratch.next);
 }

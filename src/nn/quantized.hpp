@@ -31,8 +31,6 @@
 
 namespace fannet::nn {
 
-class BatchEvaluator;  // batched SoA forward evaluation (batch_eval.hpp)
-
 /// Percent denominator for relative noise: x' = x * (100 + delta) / 100.
 inline constexpr util::i64 kNoiseDen = 100;
 
@@ -201,15 +199,23 @@ class ScopedParamPatch {
 
 /// Memoized prefix evaluation for single-parameter perturbation scans
 /// (DESIGN.md §8).  Construction runs ONE noise-free forward pass per input
-/// row and records, per layer, the activations entering it and its
-/// pre-activations.  `classify_patched` then answers "what does sample s
-/// classify as when parameter (layer, row, col) is patched to raw value v?"
-/// starting at the faulted layer: a single-entry delta update rebuilds the
-/// one affected pre-activation from its memoized value, and only the layers
-/// *after* the fault are re-evaluated in full — the unchanged prefix is
-/// never recomputed.  Exact, not approximate: the delta update computes the
-/// identical i128 accumulation a from-scratch pass would, minus the terms
-/// the patch cannot change (see DESIGN.md §8 for the argument).
+/// row and records every layer's pre-activations.  `classify_patched` then
+/// answers "what does sample s classify as when parameter (layer, row, col)
+/// is patched to raw value v?" starting at the faulted layer ℓ:
+///
+///   - a single-entry delta update rebuilds the one affected pre-activation
+///     of layer ℓ from its memoized value;
+///   - that changes one activation a -> a' entering layer ℓ+1.  When
+///     a' == a (an inactive ReLU neuron that stays inactive) nothing
+///     downstream changes and the memoized class is the answer;
+///   - otherwise layer ℓ+1's pre-activations are the memoized ones plus
+///     weight column `row` times (a' - a) — a rank-1 update;
+///   - layers ℓ+2 onward are re-evaluated in full.
+///
+/// The unchanged prefix is never recomputed.  Exact, not approximate: each
+/// updated entry equals the i128 accumulation a from-scratch pass would
+/// compute and is narrowed the same way, so overflow throws exactly where a
+/// full rescan would (see DESIGN.md §8.1 for the argument).
 ///
 /// The evaluator holds a pointer to `net`; the network and the input matrix
 /// must outlive it.  All methods are const and safe to call concurrently;
@@ -218,11 +224,14 @@ class PrefixEvaluator {
  public:
   /// Per-thread scratch buffers plus a diagnostic counter of the layers
   /// this scratch actually produced (one per layer, whether by delta
-  /// update or full re-evaluation; a layer aborted by an overflow throw is
-  /// not counted).  Note the weight-fault report's `layer_evaluations` is
-  /// NOT this counter: the scan charges a deterministic analytic count
-  /// (depth minus faulted layer, per attempted evaluation) so the report
-  /// is bit-identical across thread counts even when candidates abort.
+  /// update, rank-1 update or full re-evaluation; a layer aborted by an
+  /// overflow throw is not counted, and the memoized class returned when
+  /// the activation does not change counts no layer beyond the delta).
+  /// Note the weight-fault report's `layer_evaluations` is NOT this
+  /// counter: the scan charges a deterministic analytic count (depth minus
+  /// faulted layer, per attempted evaluation) so the report is
+  /// bit-identical across thread counts even when candidates abort or
+  /// return early.
   struct Scratch {
     std::vector<util::i64> act;
     std::vector<util::i64> next;
@@ -246,40 +255,6 @@ class PrefixEvaluator {
   [[nodiscard]] int classify_patched(std::size_t sample, std::size_t layer,
                                      std::size_t row, std::size_t col,
                                      util::i64 raw, Scratch& scratch) const;
-
-  /// One lane of a batched suffix re-evaluation: sample `sample` with the
-  /// parameter (shared `layer`, `row`, `col`) patched to raw value `raw`.
-  struct PatchLane {
-    std::size_t sample = 0;
-    std::size_t row = 0;
-    std::size_t col = 0;  ///< in_dim(layer) selects the bias, as everywhere
-    util::i64 raw = 0;
-  };
-
-  /// Reusable buffers for classify_patched_batch; `labels`/`overflow` are
-  /// its per-lane results.
-  struct BatchScratch {
-    std::vector<util::u64> act;
-    std::vector<util::u64> next;
-    std::vector<util::i64> patched_pre;
-    std::vector<util::i64> best;
-    std::vector<std::uint8_t> overflow;  ///< scalar path would throw here
-    std::vector<int> labels;
-  };
-
-  /// Batched classify_patched over lanes that share a faulted layer: the
-  /// per-lane delta updates run scalar, then ONE SoA pass (batch_eval.hpp's
-  /// kernel, via `evaluator`'s precomputed bounds) re-evaluates the suffix
-  /// layers for every lane at once — the weight-fault scan's per-layer
-  /// dispatch amortized across candidates.  `scratch.labels[t]` equals
-  /// classify_patched(lane t); lanes where the scalar call would throw
-  /// ArithmeticError come back with `scratch.overflow[t]` set instead
-  /// (their labels are unspecified; re-run the scalar path to reproduce
-  /// the exception).  `evaluator` must be bound to the same network.
-  void classify_patched_batch(const BatchEvaluator& evaluator,
-                              std::size_t layer,
-                              std::span<const PatchLane> lanes,
-                              BatchScratch& scratch) const;
 
  private:
   const QuantizedNetwork* net_;

@@ -89,9 +89,9 @@ class BnbEngine final : public Engine {
 /// finalizes with work accumulated across every stage that ran.  A
 /// deadline/cancel expiry truncates the pipeline instead of starting the
 /// next stage (flagged resource_limited, since the skipped stages might
-/// have decided); a cancel of this task is passed on to the running stage,
-/// which then finalizes with the work it did.  `work` holds the finished
-/// stages' total between steps.
+/// have decided).  `work` holds the finished stages' total between
+/// steps; a cancel or expiry that stops the cascade mid-stage finalizes
+/// the running stage through its own hook and adds its work.
 class CascadeTask final : public EngineTask {
  public:
   CascadeTask(std::vector<const Engine*> stages, Query query,
@@ -106,7 +106,6 @@ class CascadeTask final : public EngineTask {
     if (sub_ == nullptr) {
       sub_ = stages_[stage_]->make_task(query_, context_);
     }
-    if (interrupted()) sub_->cancel();
     if (sub_->step(max_work) != TaskState::kDone) {
       out.work = work_;
       return false;
@@ -121,9 +120,23 @@ class CascadeTask final : public EngineTask {
       if (truncated) out.resource_limited = true;
       return true;
     }
+    out.work = work_;
     ++stage_;
     sub_.reset();
     return false;
+  }
+
+  void finalize_interrupted(VerifyResult& out) override {
+    if (sub_ == nullptr) {
+      EngineTask::finalize_interrupted(out);
+      return;
+    }
+    // The running stage finalizes on its next step, keeping what it
+    // holds (a witness, the work it did).
+    sub_->cancel();
+    (void)sub_->step();
+    out = sub_->result();
+    out.work += work_;
   }
 
   std::vector<const Engine*> stages_;

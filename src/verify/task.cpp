@@ -20,17 +20,19 @@ TaskState EngineTask::step(std::uint64_t max_work) {
   state_.store(TaskState::kRunning, std::memory_order_release);
   bool done = false;
   try {
-    done = step_impl(max_work == 0 ? 1 : max_work, result_);
+    // A cancel or expired budget that is already pending finalizes
+    // without further engine work.
+    if (!cancelled) done = step_impl(max_work == 0 ? 1 : max_work, result_);
+    if (!done && (cancelled || interrupted())) {
+      finalize_interrupted(result_);
+      done = true;
+    }
   } catch (...) {
     // An engine exception poisons the task: result() will refuse, the
     // exception itself propagates to the driving caller as verify() would.
     poisoned_ = true;
     state_.store(TaskState::kDone, std::memory_order_release);
     throw;
-  }
-  if (!done && interrupted()) {
-    finalize_interrupted();
-    done = true;
   }
   const TaskState next =
       done ? TaskState::kDone
@@ -41,14 +43,12 @@ TaskState EngineTask::step(std::uint64_t max_work) {
   return next;
 }
 
-void EngineTask::finalize_interrupted() {
-  // Witness-less fallback for interruption between native checkpoints:
-  // sound (nothing is claimed) and flagged so it is never memoized.
-  // Native tasks that hold a verified witness finalize inside step_impl
-  // before this runs.
-  result_.verdict = Verdict::kUnknown;
-  result_.counterexample.reset();
-  result_.resource_limited = true;
+void EngineTask::finalize_interrupted(VerifyResult& out) {
+  // Witness-less fallback: sound (nothing is claimed) and flagged so it
+  // is never memoized.
+  out.verdict = Verdict::kUnknown;
+  out.counterexample.reset();
+  out.resource_limited = true;
 }
 
 TaskState EngineTask::run(std::uint64_t step_work) {
@@ -83,11 +83,6 @@ class OneShotTask final : public EngineTask {
 
  private:
   bool step_impl(std::uint64_t /*max_work*/, VerifyResult& out) override {
-    if (interrupted()) {
-      out.verdict = Verdict::kUnknown;
-      out.resource_limited = true;
-      return true;
-    }
     out = decide_(query_);
     return true;
   }

@@ -67,10 +67,13 @@ class EngineTask {
   /// Runs one bounded slice of the query (at most ~`max_work` engine work
   /// units; `0` means one minimal slice) and returns the resulting state.
   /// On kDone the verdict is final; kPaused honours a pending `pause()`;
-  /// kRunning means call again.  A pending `cancel()` or an expired
-  /// budget/deadline finalizes to kUnknown + `resource_limited` (or a
-  /// valid witness already in hand, also flagged).  Exceptions from the
-  /// engine propagate and poison the task (state kDone, no result).
+  /// kRunning means call again.  A `cancel()` or expired budget/deadline
+  /// finalizes the task through `finalize_interrupted`: at once, with no
+  /// engine work, when it is pending as the step begins, else at the
+  /// engine's next checkpoint.  The result is kUnknown +
+  /// `resource_limited`, or a verified witness the task already holds,
+  /// also flagged.  Exceptions from the engine propagate and poison the
+  /// task (state kDone, no result).
   TaskState step(std::uint64_t max_work = kDefaultStepWork);
 
   /// Requests a pause; takes effect at the running step's next checkpoint
@@ -122,11 +125,16 @@ class EngineTask {
 
   [[nodiscard]] const Budget& budget() const noexcept { return budget_; }
 
- private:
-  /// Marks the accumulated result resource-limited: kUnknown unless a
-  /// valid witness is already in hand (bnb/sat semantics).
-  void finalize_interrupted() FANNET_REQUIRES(step_mutex_);
+  /// Finalizes `out` when a cancel or expired budget stops the task:
+  /// `step()` calls it instead of `step_impl` when one is pending as the
+  /// step begins, and after a `step_impl` that yielded to one.  The
+  /// default answers kUnknown + `resource_limited` with no
+  /// counterexample and keeps `out.work`.  A task that holds a verified
+  /// witness between steps overrides it to answer with that witness,
+  /// also flagged.
+  virtual void finalize_interrupted(VerifyResult& out);
 
+ private:
   Budget budget_;
   /// Written only inside a step (under step_mutex_); readable lock-free
   /// after kDone via the state_ release/acquire pair (see result()).

@@ -1,9 +1,8 @@
 // Bit-identity tests for the batched SoA evaluator (DESIGN.md §10): every
 // lane of a batch must reproduce the scalar oracle exactly — outputs,
 // argmax ties, and overflow behavior (scalar throw == batched lane flag) —
-// at every batch size, and every consumer of the kernel (enumerate,
-// PrefixEvaluator suffix re-eval, the weight-fault scan) must produce
-// reports bit-identical to its scalar path.
+// at every batch size, and enumerate, the kernel's grid-walk consumer,
+// must produce verdicts bit-identical to its scalar path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "core/faults.hpp"
 #include "la/matrix.hpp"
 #include "nn/batch_eval.hpp"
 #include "nn/network.hpp"
@@ -234,127 +232,6 @@ TEST(BatchEval, PushNoisedValidatesSpanSizes) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched suffix re-evaluation: classify_patched_batch lane t ==
-// classify_patched(lane t) for every parameter position and value,
-// including values whose scalar evaluation throws.
-// ---------------------------------------------------------------------------
-TEST(BatchEval, ClassifyPatchedBatchMatchesScalarEverywhere) {
-  const QuantizedNetwork q = random_qnet(53, 3, 5, 2);
-  la::Matrix<i64> inputs(4, 3);
-  util::Rng rng(59);
-  for (std::size_t s = 0; s < inputs.rows(); ++s) {
-    for (std::size_t i = 0; i < inputs.cols(); ++i) {
-      inputs(s, i) = rng.uniform_int(1, 100);
-    }
-  }
-  const PrefixEvaluator prefix(q, inputs);
-  const BatchEvaluator evaluator(q);
-  PrefixEvaluator::Scratch scalar_scratch;
-  PrefixEvaluator::BatchScratch scratch;
-
-  for (std::size_t li = 0; li < q.depth(); ++li) {
-    const QLayer& layer = q.layers()[li];
-    for (std::size_t row = 0; row < layer.out_dim(); ++row) {
-      for (std::size_t col = 0; col <= layer.in_dim(); ++col) {
-        const i64 original = q.param_raw(li, row, col);
-        for (const i64 raw : {i64{0}, -original, original * 3 + 7,
-                              std::numeric_limits<i64>::max() / 2}) {
-          // One lane per sample, all sharing (layer, row, col, raw).
-          std::vector<PrefixEvaluator::PatchLane> lanes;
-          for (std::size_t s = 0; s < inputs.rows(); ++s) {
-            lanes.push_back({s, row, col, raw});
-          }
-          prefix.classify_patched_batch(evaluator, li, lanes, scratch);
-          for (std::size_t t = 0; t < lanes.size(); ++t) {
-            int expect = -1;
-            bool threw = false;
-            try {
-              expect = prefix.classify_patched(t, li, row, col, raw,
-                                               scalar_scratch);
-            } catch (const ArithmeticError&) {
-              threw = true;
-            }
-            if (threw) {
-              EXPECT_TRUE(scratch.overflow[t] != 0)
-                  << "layer " << li << " row " << row << " col " << col;
-            } else {
-              ASSERT_TRUE(scratch.overflow[t] == 0)
-                  << "layer " << li << " row " << row << " col " << col
-                  << " raw " << raw;
-              EXPECT_EQ(scratch.labels[t], expect)
-                  << "layer " << li << " row " << row << " col " << col
-                  << " raw " << raw << " lane " << t;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(BatchEval, ClassifyPatchedBatchMixedLanes) {
-  // Lanes with different rows/cols/raws in ONE batch (what the fault scan
-  // actually stages) — only the faulted layer must be shared.
-  const QuantizedNetwork q = random_qnet(61, 3, 5, 2);
-  la::Matrix<i64> inputs(3, 3);
-  util::Rng rng(67);
-  for (std::size_t s = 0; s < inputs.rows(); ++s) {
-    for (std::size_t i = 0; i < inputs.cols(); ++i) {
-      inputs(s, i) = rng.uniform_int(1, 100);
-    }
-  }
-  const PrefixEvaluator prefix(q, inputs);
-  const BatchEvaluator evaluator(q);
-  PrefixEvaluator::Scratch scalar_scratch;
-  PrefixEvaluator::BatchScratch scratch;
-
-  for (std::size_t li = 0; li < q.depth(); ++li) {
-    const QLayer& layer = q.layers()[li];
-    std::vector<PrefixEvaluator::PatchLane> lanes;
-    for (std::size_t row = 0; row < layer.out_dim(); ++row) {
-      for (std::size_t s = 0; s < inputs.rows(); ++s) {
-        const std::size_t col = (row + s) % (layer.in_dim() + 1);
-        const i64 raw = q.param_raw(li, row, col) * 2 - 31;
-        lanes.push_back({s, row, col, raw});
-      }
-    }
-    prefix.classify_patched_batch(evaluator, li, lanes, scratch);
-    for (std::size_t t = 0; t < lanes.size(); ++t) {
-      ASSERT_TRUE(scratch.overflow[t] == 0);
-      EXPECT_EQ(scratch.labels[t],
-                prefix.classify_patched(lanes[t].sample, li, lanes[t].row,
-                                        lanes[t].col, lanes[t].raw,
-                                        scalar_scratch))
-          << "layer " << li << " lane " << t;
-    }
-  }
-}
-
-TEST(BatchEval, ClassifyPatchedBatchValidatesArguments) {
-  const QuantizedNetwork q = random_qnet(71, 3, 5, 2);
-  const QuantizedNetwork other = random_qnet(72, 3, 5, 2);
-  la::Matrix<i64> inputs(1, 3);
-  inputs(0, 0) = 50; inputs(0, 1) = 60; inputs(0, 2) = 70;
-  const PrefixEvaluator prefix(q, inputs);
-  const BatchEvaluator evaluator(q);
-  const BatchEvaluator wrong_net(other);
-  PrefixEvaluator::BatchScratch scratch;
-  const std::vector<PrefixEvaluator::PatchLane> lanes = {{0, 0, 0, 42}};
-
-  EXPECT_THROW(prefix.classify_patched_batch(wrong_net, 0, lanes, scratch),
-               InvalidArgument);
-  EXPECT_THROW(prefix.classify_patched_batch(evaluator, 9, lanes, scratch),
-               InvalidArgument);
-  const std::vector<PrefixEvaluator::PatchLane> bad_row = {{0, 99, 0, 42}};
-  EXPECT_THROW(prefix.classify_patched_batch(evaluator, 0, bad_row, scratch),
-               InvalidArgument);
-  const std::vector<PrefixEvaluator::PatchLane> bad_sample = {{9, 0, 0, 42}};
-  EXPECT_THROW(prefix.classify_patched_batch(evaluator, 0, bad_sample,
-                                             scratch),
-               InvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
 // Enumerate identity: the batched (and parallel) decision scan returns
 // exactly the scalar odometer's verdict, witness and work count.
 // ---------------------------------------------------------------------------
@@ -396,51 +273,6 @@ TEST(BatchEval, EnumerateBatchedMatchesScalar) {
                     scalar.counterexample->mis_label);
         }
       }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Weight-fault scan identity: the batched incremental engine reproduces
-// the scalar incremental report bit-for-bit — including the cost counters
-// and the undecided accounting on overflow-heavy bit-flip scans.
-// ---------------------------------------------------------------------------
-TEST(BatchEval, WeightFaultScanBatchedMatchesScalar) {
-  const QuantizedNetwork q = random_qnet(83, 3, 5, 2);
-  la::Matrix<i64> inputs(5, 3);
-  std::vector<int> labels;
-  util::Rng rng(89);
-  for (std::size_t s = 0; s < inputs.rows(); ++s) {
-    for (std::size_t i = 0; i < inputs.cols(); ++i) {
-      inputs(s, i) = rng.uniform_int(1, 100);
-    }
-    labels.push_back(static_cast<int>(s % 2));
-  }
-
-  for (const core::FaultModel model :
-       {core::FaultModel::kPercentScale, core::FaultModel::kBitFlip}) {
-    core::WeightFaultConfig scalar_config;
-    scalar_config.model = model;
-    scalar_config.max_percent = 30;
-    scalar_config.step = 3;
-    scalar_config.threads = 1;
-    scalar_config.batch = 1;  // scalar reference path
-    const core::WeightFaultReport scalar =
-        core::analyze_weight_faults(q, inputs, labels, scalar_config);
-
-    for (const std::size_t batch : {0u, 3u, 64u}) {
-      core::WeightFaultConfig config = scalar_config;
-      config.batch = batch;
-      config.threads = (batch == 3) ? 4 : 1;  // also cross with threading
-      const core::WeightFaultReport batched =
-          core::analyze_weight_faults(q, inputs, labels, config);
-      EXPECT_EQ(batched.faults, scalar.faults) << "batch " << batch;
-      EXPECT_EQ(batched.robust_weights, scalar.robust_weights);
-      EXPECT_EQ(batched.evaluations, scalar.evaluations) << "batch " << batch;
-      EXPECT_EQ(batched.layer_evaluations, scalar.layer_evaluations)
-          << "batch " << batch;
-      EXPECT_EQ(batched.undecided_candidates, scalar.undecided_candidates)
-          << "model " << static_cast<int>(model) << " batch " << batch;
     }
   }
 }

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/casestudy.hpp"
 #include "core/faults.hpp"
 #include "nn/network.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace fannet::core {
 namespace {
@@ -169,37 +172,68 @@ void expect_reports_identical(const WeightFaultReport& a,
   EXPECT_TRUE(a.faults == b.faults);
 }
 
+/// A network, its samples and their labels.
+struct FaultCase {
+  nn::QuantizedNetwork net;
+  la::Matrix<i64> inputs;
+  std::vector<int> labels;
+};
+
+/// A random 3-5-4-2 net on eight random samples, labelled by its own
+/// classification except sample 0 (so the correct-sample filter drops
+/// one).  Unlike the one-hidden-layer nets elsewhere in this file, a
+/// first-layer fault's rank-1 step is followed by a full layer.
+FaultCase three_layer_case() {
+  FaultCase c{nn::QuantizedNetwork::quantize(
+                  nn::Network::random({3, 5, 4, 2}, 37), 100),
+              la::Matrix<i64>(8, 3), {}};
+  util::Rng rng(41);
+  for (std::size_t s = 0; s < c.inputs.rows(); ++s) {
+    for (std::size_t i = 0; i < c.inputs.cols(); ++i) {
+      c.inputs(s, i) = rng.uniform_int(1, 100);
+    }
+    const int cls = c.net.classify_noised(c.inputs.row(s), {});
+    c.labels.push_back(s == 0 ? 1 - cls : cls);
+  }
+  return c;
+}
+
 TEST(WeightFaults, IncrementalMatchesNaiveOnTrainedNet) {
   const CaseStudy cs = build_case_study(small_case_study_config());
-  WeightFaultConfig config;
-  config.max_percent = 30;
-  config.step = 2;
-  config.threads = 1;
+  const FaultCase cases[] = {{cs.qnet, cs.test_x, cs.test_y},
+                             three_layer_case()};
+  for (const FaultCase& c : cases) {
+    SCOPED_TRACE("depth " + std::to_string(c.net.depth()));
+    WeightFaultConfig config;
+    config.max_percent = 30;
+    config.step = 2;
+    config.threads = 1;
 
-  config.scan = FaultScan::kNaive;
-  const WeightFaultReport naive =
-      analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
-
-  config.scan = FaultScan::kIncremental;
-  const WeightFaultReport incremental =
-      analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
-  expect_reports_identical(naive, incremental, false);
-  // The incremental engine never re-evaluates the unchanged prefix, so its
-  // per-layer evaluation count is strictly lower.
-  EXPECT_LT(incremental.layer_evaluations, naive.layer_evaluations);
-  EXPECT_GT(incremental.layer_evaluations, 0u);
-
-  // Bit-identical (including the cost counters) for every thread count.
-  for (const std::size_t threads : {2, 8}) {
-    config.threads = threads;
-    const WeightFaultReport parallel =
-        analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
-    expect_reports_identical(incremental, parallel, true);
     config.scan = FaultScan::kNaive;
-    const WeightFaultReport naive_parallel =
-        analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
-    expect_reports_identical(naive, naive_parallel, true);
+    const WeightFaultReport naive =
+        analyze_weight_faults(c.net, c.inputs, c.labels, config);
+
     config.scan = FaultScan::kIncremental;
+    const WeightFaultReport incremental =
+        analyze_weight_faults(c.net, c.inputs, c.labels, config);
+    expect_reports_identical(naive, incremental, false);
+    // The incremental engine never re-evaluates the unchanged prefix, so
+    // its per-layer evaluation count is strictly lower.
+    EXPECT_LT(incremental.layer_evaluations, naive.layer_evaluations);
+    EXPECT_GT(incremental.layer_evaluations, 0u);
+
+    // Bit-identical (including the cost counters) for every thread count.
+    for (const std::size_t threads : {2, 8}) {
+      config.threads = threads;
+      const WeightFaultReport parallel =
+          analyze_weight_faults(c.net, c.inputs, c.labels, config);
+      expect_reports_identical(incremental, parallel, true);
+      config.scan = FaultScan::kNaive;
+      const WeightFaultReport naive_parallel =
+          analyze_weight_faults(c.net, c.inputs, c.labels, config);
+      expect_reports_identical(naive, naive_parallel, true);
+      config.scan = FaultScan::kIncremental;
+    }
   }
 }
 
@@ -304,25 +338,27 @@ TEST(WeightFaults, StuckAtZeroAndSignFlipMatchManualInjection) {
 }
 
 TEST(WeightFaults, BitFlipIdentityOnTrainedTinyNet) {
-  const nn::QuantizedNetwork net = tiny_qnet();
-  la::Matrix<i64> inputs(2, 2);
-  inputs(0, 0) = 80; inputs(0, 1) = 30;
-  inputs(1, 0) = 20; inputs(1, 1) = 90;
-  std::vector<int> labels(2);
+  FaultCase tiny{tiny_qnet(), la::Matrix<i64>(2, 2), {}};
+  tiny.inputs(0, 0) = 80; tiny.inputs(0, 1) = 30;
+  tiny.inputs(1, 0) = 20; tiny.inputs(1, 1) = 90;
   for (std::size_t s = 0; s < 2; ++s) {
-    labels[s] = net.classify_noised(inputs.row(s), {});
+    tiny.labels.push_back(tiny.net.classify_noised(tiny.inputs.row(s), {}));
   }
 
-  WeightFaultConfig config;
-  config.model = FaultModel::kBitFlip;
-  config.scan = FaultScan::kNaive;
-  const WeightFaultReport naive =
-      analyze_weight_faults(net, inputs, labels, config);
-  config.scan = FaultScan::kIncremental;
-  const WeightFaultReport incremental =
-      analyze_weight_faults(net, inputs, labels, config);
-  expect_reports_identical(naive, incremental, false);
-  EXPECT_LT(incremental.layer_evaluations, naive.layer_evaluations);
+  const FaultCase cases[] = {tiny, three_layer_case()};
+  for (const FaultCase& c : cases) {
+    SCOPED_TRACE("depth " + std::to_string(c.net.depth()));
+    WeightFaultConfig config;
+    config.model = FaultModel::kBitFlip;
+    config.scan = FaultScan::kNaive;
+    const WeightFaultReport naive =
+        analyze_weight_faults(c.net, c.inputs, c.labels, config);
+    config.scan = FaultScan::kIncremental;
+    const WeightFaultReport incremental =
+        analyze_weight_faults(c.net, c.inputs, c.labels, config);
+    expect_reports_identical(naive, incremental, false);
+    EXPECT_LT(incremental.layer_evaluations, naive.layer_evaluations);
+  }
 }
 
 TEST(WeightFaults, BitFlipUndecidedCandidatesCountedIdentically) {

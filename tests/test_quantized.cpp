@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "nn/network.hpp"
 #include "nn/quantized.hpp"
@@ -305,42 +306,57 @@ TEST(ParamAccess, ScopedParamPatchRestoresOnDestruction) {
 // PrefixEvaluator: the incremental patched-classification path must be
 // bit-identical to mutating the network and evaluating from scratch, for
 // every parameter position (weights and biases, every layer) and a spread
-// of patched values.
+// of patched values.  Two inputs: tiny_net (a fault's rank-1 step lands on
+// the output layer) and a random 3-5-4-2 net (a rank-1 step followed by a
+// full layer).
 // ---------------------------------------------------------------------------
 TEST(PrefixEvaluator, MatchesFullEvaluationForEveryParam) {
-  const QuantizedNetwork q = QuantizedNetwork::quantize(tiny_net(), 100);
-  la::Matrix<i64> inputs(3, 2);
-  inputs(0, 0) = 80; inputs(0, 1) = 30;
-  inputs(1, 0) = 20; inputs(1, 1) = 90;
-  inputs(2, 0) = 55; inputs(2, 1) = 55;
-
-  const PrefixEvaluator prefix(q, inputs);
-  ASSERT_EQ(prefix.samples(), 3u);
-  PrefixEvaluator::Scratch scratch;
-
-  for (std::size_t s = 0; s < inputs.rows(); ++s) {
-    EXPECT_EQ(prefix.base_class(s), q.classify_noised(inputs.row(s), {}));
+  la::Matrix<i64> tiny_inputs(3, 2);
+  tiny_inputs(0, 0) = 80; tiny_inputs(0, 1) = 30;
+  tiny_inputs(1, 0) = 20; tiny_inputs(1, 1) = 90;
+  tiny_inputs(2, 0) = 55; tiny_inputs(2, 1) = 55;
+  la::Matrix<i64> deep_inputs(4, 3);
+  util::Rng rng(29);
+  for (std::size_t s = 0; s < deep_inputs.rows(); ++s) {
+    for (std::size_t i = 0; i < deep_inputs.cols(); ++i) {
+      deep_inputs(s, i) = rng.uniform_int(1, 100);
+    }
   }
-  for (std::size_t li = 0; li < q.depth(); ++li) {
-    const QLayer& layer = q.layers()[li];
-    for (std::size_t row = 0; row < layer.out_dim(); ++row) {
-      for (std::size_t col = 0; col <= layer.in_dim(); ++col) {
-        const i64 original = q.param_raw(li, row, col);
-        for (const i64 raw :
-             {i64{0}, original, -original, original * 2 + 1, original - 12'345}) {
-          const QuantizedNetwork mutated = q.with_param(li, row, col, raw);
-          for (std::size_t s = 0; s < inputs.rows(); ++s) {
-            EXPECT_EQ(
-                prefix.classify_patched(s, li, row, col, raw, scratch),
-                mutated.classify_noised(inputs.row(s), {}))
-                << "layer " << li << " row " << row << " col " << col
-                << " raw " << raw << " sample " << s;
+  const std::pair<QuantizedNetwork, la::Matrix<i64>> cases[] = {
+      {QuantizedNetwork::quantize(tiny_net(), 100), tiny_inputs},
+      {QuantizedNetwork::quantize(Network::random({3, 5, 4, 2}, 31), 100),
+       deep_inputs}};
+
+  for (const auto& [q, inputs] : cases) {
+    const PrefixEvaluator prefix(q, inputs);
+    ASSERT_EQ(prefix.samples(), inputs.rows());
+    PrefixEvaluator::Scratch scratch;
+
+    for (std::size_t s = 0; s < inputs.rows(); ++s) {
+      EXPECT_EQ(prefix.base_class(s), q.classify_noised(inputs.row(s), {}));
+    }
+    for (std::size_t li = 0; li < q.depth(); ++li) {
+      const QLayer& layer = q.layers()[li];
+      for (std::size_t row = 0; row < layer.out_dim(); ++row) {
+        for (std::size_t col = 0; col <= layer.in_dim(); ++col) {
+          const i64 original = q.param_raw(li, row, col);
+          for (const i64 raw : {i64{0}, original, -original, original * 2 + 1,
+                                original - 12'345, original * 40}) {
+            const QuantizedNetwork mutated = q.with_param(li, row, col, raw);
+            for (std::size_t s = 0; s < inputs.rows(); ++s) {
+              EXPECT_EQ(
+                  prefix.classify_patched(s, li, row, col, raw, scratch),
+                  mutated.classify_noised(inputs.row(s), {}))
+                  << "depth " << q.depth() << " layer " << li << " row "
+                  << row << " col " << col << " raw " << raw << " sample "
+                  << s;
+            }
           }
         }
       }
     }
+    EXPECT_GT(scratch.layer_evaluations, 0u);
   }
-  EXPECT_GT(scratch.layer_evaluations, 0u);
 }
 
 TEST(PrefixEvaluator, CountsOnlySuffixLayers) {
@@ -358,12 +374,14 @@ TEST(PrefixEvaluator, CountsOnlySuffixLayers) {
 
 TEST(PrefixEvaluator, OverflowBehaviorMatchesFullEvaluation) {
   const QuantizedNetwork q = QuantizedNetwork::quantize(tiny_net(), 100);
-  la::Matrix<i64> inputs(1, 2);
+  la::Matrix<i64> inputs(2, 2);
   inputs(0, 0) = 80; inputs(0, 1) = 30;
+  inputs(1, 0) = 20; inputs(1, 1) = 90;
   const PrefixEvaluator prefix(q, inputs);
   PrefixEvaluator::Scratch scratch;
 
-  // A near-int64-max weight overflows the exact accumulation in both paths.
+  // A near-int64-max weight overflows the faulted layer's own exact
+  // accumulation in both paths.
   const i64 huge = std::numeric_limits<i64>::max() / 2;
   EXPECT_THROW((void)q.with_param(0, 0, 0, huge).classify_noised(
                    inputs.row(0), {}),
@@ -372,6 +390,31 @@ TEST(PrefixEvaluator, OverflowBehaviorMatchesFullEvaluation) {
                ArithmeticError);
   EXPECT_THROW((void)prefix.classify_patched(0, 9, 0, 0, 1, scratch),
                InvalidArgument);
+
+  // The faulted hidden pre-activation fits int64 (10^12 * 8000 - 3 * 10^7),
+  // but the output layer's 10^4-scaled accumulation of it does not: the
+  // rank-1 entry must throw exactly like the full rescan.
+  const i64 large = 1'000'000'000'000;
+  EXPECT_THROW((void)q.with_param(0, 0, 0, large).classify_noised(
+                   inputs.row(0), {}),
+               ArithmeticError);
+  EXPECT_THROW((void)prefix.classify_patched(0, 0, 0, 0, large, scratch),
+               ArithmeticError);
+
+  // Sample 1 leaves hidden neuron 0 inactive (20 - 90 < 0).  A more
+  // negative weight on input 1 keeps it inactive, so no activation changes
+  // and the memoized class is the answer after the delta step alone, even
+  // for a weight far outside the trained range.
+  for (const i64 raw : {i64{-20'000}, i64{-100'000'000'000'000}}) {
+    const std::uint64_t before = scratch.layer_evaluations;
+    EXPECT_EQ(prefix.classify_patched(1, 0, 0, 1, raw, scratch),
+              q.with_param(0, 0, 1, raw).classify_noised(inputs.row(1), {}))
+        << raw;
+    EXPECT_EQ(prefix.classify_patched(1, 0, 0, 1, raw, scratch),
+              prefix.base_class(1))
+        << raw;
+    EXPECT_EQ(scratch.layer_evaluations, before + 2) << raw;  // deltas only
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -374,7 +374,7 @@ TEST(SweepRunner, MaxShardsChunksDriveTheCampaignToCompletion) {
 // End-to-end checks of the analyses' campaigns.  Tolerance and sensitivity
 // are compared with brute-force references over the integer noise grid
 // (enumerate_stream and the exact evaluator, no engine or scheduler); the
-// weight-fault scan with its scalar reference loop (batch = 1).
+// weight-fault sweeps with the direct in-memory scan.
 // ---------------------------------------------------------------------------
 
 nn::QuantizedNetwork tiny_qnet() {
@@ -685,18 +685,17 @@ TEST(SweepAnalyses, WeightFaultSweepMatchesDirectScanAndResumes) {
   const la::Matrix<i64> inputs = tiny_inputs();
   const std::vector<int> labels = labels_for(net, inputs);
 
-  // Reference: the scalar scan loop (batch = 1), bit-identical to the
-  // batched replay the other runs take by contract, counters included.
-  WeightFaultConfig direct_config{
-      .max_percent = 40, .step = 1, .threads = 1, .batch = 1};
+  // Reference: the direct in-memory scan on one thread.  Every run below
+  // changes only how the campaign is sharded, threaded or journaled, so
+  // it must reproduce the reference exactly, counters included.
+  const WeightFaultConfig direct_config{
+      .max_percent = 40, .step = 1, .threads = 1};
   const WeightFaultReport direct =
       core::analyze_weight_faults(net, inputs, labels, direct_config);
 
-  WeightFaultConfig batched_config = direct_config;
-  batched_config.batch = 0;
   for (const std::size_t shard_size : {std::size_t{0}, std::size_t{5}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      WeightFaultConfig config = batched_config;
+      WeightFaultConfig config = direct_config;
       config.sweep = SweepOptions{.shard_size = shard_size, .threads = threads};
       const WeightFaultReport swept =
           core::analyze_weight_faults(net, inputs, labels, config);
@@ -706,7 +705,7 @@ TEST(SweepAnalyses, WeightFaultSweepMatchesDirectScanAndResumes) {
   }
 
   TempJournal journal("faults");
-  WeightFaultConfig partial = batched_config;
+  WeightFaultConfig partial = direct_config;
   partial.sweep = SweepOptions{.journal_path = journal.path,
                                .shard_size = 4,
                                .max_shards = 2};
@@ -715,7 +714,7 @@ TEST(SweepAnalyses, WeightFaultSweepMatchesDirectScanAndResumes) {
   EXPECT_FALSE(first.sweep.complete());
   EXPECT_EQ(first.sweep.units_executed, 8u);
 
-  WeightFaultConfig rest = batched_config;
+  WeightFaultConfig rest = direct_config;
   rest.sweep = SweepOptions{.journal_path = journal.path, .shard_size = 4};
   const WeightFaultReport resumed =
       core::analyze_weight_faults(net, inputs, labels, rest);

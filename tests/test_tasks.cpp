@@ -214,9 +214,12 @@ TEST(Task, PauseResumeAtArbitraryBoundariesIsBitIdentical) {
 
 TEST(Task, CancelFinalizesUnfinishedWorkToResourceLimitedUnknown) {
   // A robust 8-20-2 query at +/-30 whose grid (61^8 points) and box tree
-  // outlast two 64-unit steps and whose screens answer kUnknown.  A
-  // cancelled task keeps the work its completed steps did: 128 grid points
-  // or boxes, or the cascade's two screens.
+  // outlast the steps below and whose screens answer kUnknown.  A
+  // cancelled task keeps exactly the work its completed steps did: 128
+  // grid points or boxes after two 64-unit steps; the cascade's two
+  // screens after two steps, and those plus its bnb stage's 128 boxes
+  // after four.  The cancel is pending when the next step begins, so
+  // that step does no engine work.
   const nn::QuantizedNetwork net = nn::QuantizedNetwork::quantize(
       nn::Network::random({8, 20, 2}, 202), 100);
   Query q;
@@ -224,19 +227,55 @@ TEST(Task, CancelFinalizesUnfinishedWorkToResourceLimitedUnknown) {
   for (i64 i = 0; i < 8; ++i) q.x.push_back(10 + 11 * i);
   q.true_label = net.classify_noised(q.x, {});
   q.box = NoiseBox::symmetric(8, 30);
-  for (const auto& [name, completed] :
-       {std::pair<const char*, std::uint64_t>{"enumerate", 128},
-        {"bnb", 128},
-        {"cascade", 2}}) {
+  struct Case {
+    const char* name;
+    int steps;
+    std::uint64_t completed;
+  };
+  for (const auto& [name, steps, completed] :
+       {Case{"enumerate", 2, 128}, Case{"bnb", 2, 128}, Case{"cascade", 2, 2},
+        Case{"cascade", 4, 130}}) {
     const auto task = engine(name).make_task(q, {});
-    ASSERT_EQ(task->step(64), TaskState::kRunning) << name;
-    ASSERT_EQ(task->step(64), TaskState::kRunning) << name;
+    for (int i = 0; i < steps; ++i) {
+      ASSERT_EQ(task->step(64), TaskState::kRunning) << name;
+    }
     task->cancel();
     ASSERT_EQ(task->step(64), TaskState::kDone) << name;
     EXPECT_EQ(task->result().verdict, Verdict::kUnknown) << name;
     EXPECT_TRUE(task->result().resource_limited) << name;
     EXPECT_FALSE(task->result().counterexample.has_value()) << name;
-    EXPECT_GE(task->result().work, completed) << name;
+    EXPECT_EQ(task->result().work, completed) << name;
+  }
+}
+
+TEST(Task, SatCancelledBetweenStepsKeepsItsWitness) {
+  // A wrong-label query: sat finds a model at once and then minimizes it
+  // over many one-conflict steps.  A cancel that is pending when a step
+  // begins must still answer with the verified witness in hand, flagged,
+  // and with the conflicts spent as `work`.
+  const Query q = make_q(1, 30, true);
+  std::uint64_t steps = 0;
+  {
+    const auto task = engine("sat").make_task(q, {});
+    while (task->step(1) != TaskState::kDone) ++steps;
+    ASSERT_EQ(task->result().verdict, Verdict::kVulnerable);
+  }
+  ASSERT_GT(steps, 8u);
+  for (const std::uint64_t k : {std::uint64_t{2}, steps / 2, steps - 1}) {
+    const auto task = engine("sat").make_task(q, {});
+    for (std::uint64_t i = 0; i < k; ++i) {
+      ASSERT_EQ(task->step(1), TaskState::kRunning) << k;
+    }
+    task->cancel();
+    ASSERT_EQ(task->step(1), TaskState::kDone) << k;
+    const VerifyResult& r = task->result();
+    EXPECT_EQ(r.verdict, Verdict::kVulnerable) << k;
+    EXPECT_TRUE(r.resource_limited) << k;
+    EXPECT_GT(r.work, 0u) << k;
+    ASSERT_TRUE(r.counterexample.has_value()) << k;
+    EXPECT_NE(q.net->classify_noised(q.x, r.counterexample->deltas),
+              q.true_label)
+        << k;
   }
 }
 

@@ -77,7 +77,7 @@ flags
   --engine NAME        P2 decision engine (default: cascade)
   --threads N          worker threads, 0 = one per hardware thread (default 0)
   --batch N            SoA evaluation lanes per vectorized forward pass
-                       (tolerance, boundary, sensitivity, weight-faults);
+                       (tolerance, boundary, sensitivity);
                        0 = auto, 1 = the scalar reference path (default 0);
                        results are bit-identical for every value
   --deadline-ms N      per-query wall-clock deadline in milliseconds
@@ -290,7 +290,6 @@ core::WeightFaultReport run_weight_faults(
   config.step = opts.step;
   config.threads = opts.threads;
   config.model = opts.fault_model;
-  config.batch = opts.batch;
   config.sweep = sweep;
   return core::analyze_weight_faults(cs.qnet, cs.test_x, cs.test_y, config);
 }
